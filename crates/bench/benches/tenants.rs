@@ -6,15 +6,12 @@
 //!
 //! 2. A machine-readable trajectory: the `tenants` binary's production
 //!    matrix — 1000 tenants over 4 accelerators, both memory backends —
-//!    run at shards 1, 2 and 4, with wall-clock, events/sec and the
+//!    run once with cells in series, with wall-clock, events/sec and the
 //!    per-tenant completion/kill latency tails (p50/p99, in simulated
-//!    cycles) written to `BENCH_tenants.json`. Latency tails are
-//!    shard-invariant (the matrix JSON is asserted byte-identical across
-//!    shard counts before anything is written); only wall-clock moves.
-//!    The JSON carries `host_cores` so the walls are interpretable on
-//!    any runner.
+//!    cycles) written to `BENCH_tenants.json`. The JSON carries
+//!    `host_cores` so the wall is interpretable on any runner.
 //!
-//! Modes for part 2 (same contract as the sweep/shard benches):
+//! Modes for part 2 (same contract as the sweep bench):
 //!
 //! * default — production scale, file written to the repo root (or
 //!   `$BENCH_OUT`).
@@ -22,11 +19,11 @@
 //!   written only if `$BENCH_OUT` is set so quick numbers never
 //!   overwrite the committed trajectory.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells, tenants_matrix_json};
+use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells};
 use bc_mem::dram::MemBackend;
-use bc_system::{MultiTenantSystem, TenantsConfig, TenantsReport};
+use bc_system::{MultiTenantSystem, TenantsConfig};
 use criterion::{criterion_group, Criterion};
 
 /// The measured matrix: the `tenants` binary's defaults at a given scale.
@@ -60,39 +57,15 @@ fn scheduler_pipeline(c: &mut Criterion) {
 
 criterion_group!(benches, scheduler_pipeline);
 
-fn run_matrix(base: &TenantsConfig, shards: usize) -> (Duration, Vec<(String, TenantsReport)>) {
-    let mut config = base.clone();
-    config.shards = shards;
-    let cells = tenants_cells(&config, &[MemBackend::LocalDram, MemBackend::CxlPool]);
+fn emit_tenants_json() {
+    let quick = bc_bench::quick_mode();
+    let base = tenants_cell(if quick { 100 } else { 1000 });
+    let cells = tenants_cells(&base, &[MemBackend::LocalDram, MemBackend::CxlPool]);
     let started = Instant::now();
     // Cells run serially (`jobs=1`) so the wall measures the simulator,
     // not the host's spare cores.
     let results = run_tenants_cells(&cells, 1);
-    (started.elapsed(), results)
-}
-
-fn emit_tenants_json() {
-    let quick = bc_bench::quick_mode();
-    let base = tenants_cell(if quick { 100 } else { 1000 });
-
-    // Byte-identity first: every shard count must produce the same
-    // matrix document, or the walls below compare different work.
-    let shard_counts = [1usize, 2, 4];
-    let mut walls: Vec<f64> = Vec::new();
-    let mut baseline: Option<Vec<(String, TenantsReport)>> = None;
-    for &shards in &shard_counts {
-        let (wall, results) = run_matrix(&base, shards);
-        match &baseline {
-            None => baseline = Some(results),
-            Some(want) => assert_eq!(
-                tenants_matrix_json(want),
-                tenants_matrix_json(&results),
-                "tenants matrix diverged between shard counts — bench aborted"
-            ),
-        }
-        walls.push(wall.as_secs_f64());
-    }
-    let results = baseline.expect("at least one matrix ran");
+    let wall_s = started.elapsed().as_secs_f64();
     let events: u64 = results.iter().map(|(_, r)| r.events).sum();
 
     let cells: Vec<String> = results
@@ -106,28 +79,15 @@ fn emit_tenants_json() {
             )
         })
         .collect();
-    let shards_json: Vec<String> = shard_counts
-        .iter()
-        .zip(&walls)
-        .map(|(&shards, &wall_s)| {
-            format!(
-                "    {{ \"shards\": {shards}, \"wall_s\": {wall_s:.4}, \
-                 \"events_per_sec\": {eps:.1} }}",
-                eps = events as f64 / wall_s,
-            )
-        })
-        .collect();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
         "{{\n  \"bench\": \"tenants\",\n  \"tenants\": {tenants},\n  \"accels\": 4,\n  \
          \"quick\": {quick},\n  \"host_cores\": {cores},\n  \"events\": {events},\n  \
-         \"cells\": [\n{cells}\n  ],\n  \"shards\": [\n{shards}\n  ],\n  \
-         \"speedup\": {{ \"x2\": {s2:.3}, \"x4\": {s4:.3} }}\n}}\n",
+         \"wall_s\": {wall_s:.4},\n  \"events_per_sec\": {eps:.1},\n  \
+         \"cells\": [\n{cells}\n  ]\n}}\n",
         tenants = base.tenants,
+        eps = events as f64 / wall_s,
         cells = cells.join(",\n"),
-        shards = shards_json.join(",\n"),
-        s2 = walls[0] / walls[1],
-        s4 = walls[0] / walls[2],
     );
 
     bc_bench::emit_trajectory("BENCH_tenants.json", quick, &json);

@@ -120,33 +120,13 @@ fn validate_flush(d: &Doc) -> Result<String, String> {
     Ok(format!("{fps:.0} flushes/s, {lines:.1} lines/scan"))
 }
 
-fn validate_shard(d: &Doc) -> Result<String, String> {
-    let cores = d.integer("host_cores")?;
-    d.positive("events")?;
-    let shards = d.array("shards")?;
-    if shards.len() != 3 {
-        return Err(format!(
-            "{}: expected entries for 1/2/4 shards, got {}",
-            d.label,
-            shards.len()
-        ));
-    }
-    for entry in &shards {
-        entry.positive("wall_s")?;
-        entry.positive("events_per_sec")?;
-    }
-    // Speedups must be recorded; no multiplier is asserted because runner
-    // core counts vary (host_cores keeps the trajectory interpretable).
-    let x2 = d.positive("speedup.x2")?;
-    let x4 = d.positive("speedup.x4")?;
-    Ok(format!("cores={cores} x2={x2} x4={x4}"))
-}
-
 fn validate_tenants(d: &Doc) -> Result<String, String> {
     let tenants = d.integer("tenants")?;
     let accels = d.integer("accels")?;
     let cores = d.integer("host_cores")?;
     d.positive("events")?;
+    d.positive("wall_s")?;
+    d.positive("events_per_sec")?;
     let cells = d.array("cells")?;
     if cells.len() != 2 {
         return Err(format!(
@@ -173,9 +153,6 @@ fn validate_tenants(d: &Doc) -> Result<String, String> {
         if !(0 < k50 && k50 <= k99) {
             return Err(format!("{}/{backend}: bad kill tail", d.label));
         }
-    }
-    for entry in &d.array("shards")? {
-        entry.positive("wall_s")?;
     }
     let p99 = cells
         .first()
@@ -271,7 +248,6 @@ pub fn validate_text(label: &str, text: &str) -> Result<String, String> {
     let summary = match d.string("bench")? {
         "sweep" => validate_sweep(&d)?,
         "flush" => validate_flush(&d)?,
-        "shard" => validate_shard(&d)?,
         "tenants" => validate_tenants(&d)?,
         "serve" => validate_serve(&d)?,
         "trace" => validate_trace(&d)?,
@@ -394,13 +370,12 @@ mod tests {
     fn tenants_reconciliation_is_enforced() {
         let good = r#"{
           "bench": "tenants", "tenants": 8, "accels": 2, "host_cores": 4,
-          "events": 100, "cells": [
+          "events": 100, "wall_s": 0.5, "events_per_sec": 200.0, "cells": [
             {"backend": "local-dram", "completed": 6, "killed": 2,
              "completion_p50": 10, "completion_p99": 20, "kill_p50": 3, "kill_p99": 9},
             {"backend": "cxl-pool", "completed": 8, "killed": 0,
              "completion_p50": 12, "completion_p99": 30, "kill_p50": 4, "kill_p99": 11}
-          ],
-          "shards": [{"wall_s": 0.5}], "speedup": {"x2": 1.5}
+          ]
         }"#;
         assert!(
             validate_text("good", good).is_ok(),

@@ -28,7 +28,6 @@ fn committed_trajectories_validate() {
     for name in [
         "BENCH_sweep.json",
         "BENCH_flush.json",
-        "BENCH_shard.json",
         "BENCH_tenants.json",
         "BENCH_serve.json",
         "BENCH_trace.json",
@@ -41,7 +40,7 @@ fn committed_trajectories_validate() {
         }
         seen += 1;
     }
-    assert_eq!(seen, 6);
+    assert_eq!(seen, 5);
 }
 
 /// CI points `$BENCH_VALIDATE_EXTRA` (colon-separated paths) at the

@@ -4,17 +4,17 @@
 //! ```text
 //! tenants [--tenants N] [--accels M] [--seed S] [--mem local|cxl|both]
 //!         [--quantum C] [--storm C] [--malicious PERMILLE]
-//!         [--jobs N] [--shards N] [--audit] [--json]
+//!         [--jobs N] [--audit] [--json]
 //! ```
 //!
 //! Defaults sweep N=1000 tenants over M=4 accelerators with 12.5% of
 //! tenants malicious, on both memory backends. `--jobs` parallelizes
-//! cells, `--shards` parallelizes inside each run; neither changes a
-//! report byte (the determinism suite proves the cross product).
+//! cells without changing a report byte (the determinism suite proves
+//! it).
 //! `--json` appends the machine-readable matrix document.
 
 use bc_experiments::tenants_grid::{run_tenants_cells, tenants_cells, tenants_matrix_json};
-use bc_experiments::{audit_from_args, jobs_from_args, print_matrix, shards_from_args};
+use bc_experiments::{audit_from_args, jobs_from_args, print_matrix};
 use bc_mem::dram::MemBackend;
 use bc_system::TenantsConfig;
 
@@ -31,7 +31,6 @@ fn main() {
         tenants: flag_u64(&args, "--tenants", 1000) as usize,
         accels: flag_u64(&args, "--accels", 4) as usize,
         audit: audit_from_args(),
-        shards: shards_from_args(),
         ..TenantsConfig::default()
     };
     base.seed = flag_u64(&args, "--seed", base.seed);

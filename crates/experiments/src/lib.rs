@@ -21,9 +21,8 @@
 //! print aligned text tables to stdout. Reference size reproduces the
 //! paper-shape numbers recorded in `EXPERIMENTS.md`; smaller sizes are for
 //! quick smoke runs. Sweep binaries also accept `--jobs N` (cells run
-//! concurrently), `--shards N` (threads *inside* each simulation),
-//! `--audit` (runtime invariant auditor), `--trace-dir PATH` (replay
-//! compiled access traces instead of re-synthesizing them) and
+//! concurrently), `--audit` (runtime invariant auditor), `--trace-dir
+//! PATH` (replay compiled access traces instead of re-synthesizing them) and
 //! `--warm-start CYCLE` with optional `--warm-dir PATH` (restore each
 //! cell from a simulator checkpoint instead of re-running its warmup
 //! prefix); none of them changes a single report byte.
@@ -144,7 +143,7 @@ pub fn trace_dir_from_args() -> Option<std::sync::Arc<dyn bc_workloads::StreamSo
 /// checkpoint cut at `CYCLE` instead of re-simulating its warmup prefix,
 /// publishing the checkpoint on first miss. Checkpoints are keyed by
 /// `sha256(CODE_REV ‖ warm_key(config) ‖ CYCLE)` so a simulator revision
-/// bump or any config change (other than `--shards`) misses cleanly.
+/// bump or any config change misses cleanly.
 /// Reports are byte-identical with or without the flag (`bc-system`'s
 /// fork-identity suite). `--warm-dir` defaults to `bc-warm-cache` under
 /// the system temp directory so successive sweeps on one machine share
@@ -169,32 +168,6 @@ pub fn warm_start_from_args() -> Option<WarmStart> {
         .map(|w| std::path::PathBuf::from(&w[1]))
         .unwrap_or_else(|| std::env::temp_dir().join("bc-warm-cache"));
     Some(WarmStart { dir, cut })
-}
-
-/// Parses `--shards N` from argv (default 1): worker threads *inside*
-/// each simulation — the per-CU cluster frontends and the shared
-/// L2/Border-Control backend distributed over `N` cooperating shards of
-/// the event engine. Composes with `--jobs`: a sweep runs `--jobs` cells
-/// concurrently, each cell on `--shards` threads. Simulated timing and
-/// every report byte are identical at any shard count; only wall-clock
-/// changes (`determinism.rs` proves the cross product).
-#[must_use]
-pub fn shards_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args
-        .windows(2)
-        .find(|w| w[0] == "--shards")
-        .map(|w| w[1].as_str())
-    {
-        None => 1,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("invalid --shards '{raw}', using 1");
-                1
-            }
-        },
-    }
 }
 
 /// A baseline configuration for one (workload, GPU class, size) cell.

@@ -51,7 +51,7 @@ use json::{JsonError, Value};
 /// added, removed, renamed, reordered or re-spelled; the decoder rejects
 /// any other version, and the bump invalidates every cached result key
 /// (which is the point — the old keys described a different schema).
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Simulator revision folded into every cache key. Byte-identical
 /// `RunReport`s are only guaranteed *within* one revision of the
@@ -262,7 +262,6 @@ pub fn encode_config(c: &SystemConfig) -> String {
         ),
         ("max_cycles", c.max_cycles.to_string()),
         ("audit", c.audit.to_string()),
-        ("shards", c.shards.to_string()),
         ("cluster_hop_latency", c.cluster_hop_latency.to_string()),
     ];
     let body: Vec<String> = fields
@@ -273,21 +272,14 @@ pub fn encode_config(c: &SystemConfig) -> String {
 }
 
 /// The exact bytes a cell's cache key hashes: the canonical config
-/// encoding wrapped with the simulator revision, with `shards` normalized
-/// to 1. Shard count is the *only* knob excluded from the key: the
-/// sharded engine is proven byte-identical at any shard count
-/// (`tests/shard_identity.rs`, `determinism.rs`), so two clients asking
-/// for the same simulation at different shard counts share one cached
-/// result. Every other field — including `audit`, which adds a section to
-/// the report — keys a distinct entry.
+/// encoding wrapped with the simulator revision. Every field — including
+/// `audit`, which adds a section to the report — keys a distinct entry.
 #[must_use]
 pub fn config_key_material(config: &SystemConfig, code_rev: &str) -> String {
-    let mut normalized = config.clone();
-    normalized.shards = 1;
     format!(
         "{{\"code_rev\": \"{}\", \"config\": {}}}",
         esc(code_rev),
-        encode_config(&normalized)
+        encode_config(config)
     )
 }
 
@@ -569,7 +561,6 @@ pub fn decode_config(text: &str) -> Result<SystemConfig, SchemaError> {
         opt_u64(obj.get("max_ops_per_wavefront")?, "max_ops_per_wavefront")?;
     let max_cycles = obj.u64("max_cycles")?;
     let audit = obj.bool("audit")?;
-    let shards = obj.usize("shards")?;
     let cluster_hop_latency = obj.u64("cluster_hop_latency")?;
     obj.finish()?;
 
@@ -604,7 +595,6 @@ pub fn decode_config(text: &str) -> Result<SystemConfig, SchemaError> {
         max_ops_per_wavefront,
         max_cycles,
         audit,
-        shards,
         cluster_hop_latency,
     })
 }
@@ -829,7 +819,6 @@ mod tests {
         c.max_ops_per_wavefront = None;
         c.use_huge_pages = true;
         c.audit = true;
-        c.shards = 4;
         c
     }
 
@@ -859,6 +848,22 @@ mod tests {
         assert_eq!(
             decode_config(&text).err(),
             Some(SchemaError::Version { found: 99 })
+        );
+    }
+
+    #[test]
+    fn version_1_documents_are_rejected() {
+        // Version 1 carried a `shards` field before `cluster_hop_latency`.
+        let v1 = encode_config(&SystemConfig::table3_defaults())
+            .replace(&format!("\"schema\": {SCHEMA_VERSION}"), "\"schema\": 1")
+            .replace(
+                "  \"cluster_hop_latency\":",
+                "  \"shards\": 1,\n  \"cluster_hop_latency\":",
+            );
+        assert!(v1.contains("\"shards\": 1"));
+        assert_eq!(
+            decode_config(&v1).err(),
+            Some(SchemaError::Version { found: 1 })
         );
     }
 
@@ -903,15 +908,12 @@ mod tests {
     }
 
     #[test]
-    fn key_material_normalizes_shards_only() {
-        let mut a = SystemConfig::table3_defaults();
-        a.shards = 1;
-        let mut b = a.clone();
-        b.shards = 4;
-        assert_eq!(
-            config_key_material(&a, CODE_REV),
-            config_key_material(&b, CODE_REV),
-            "shard count must share one cache entry"
+    fn key_material_is_the_canonical_config_under_the_revision() {
+        let a = SystemConfig::table3_defaults();
+        let material = config_key_material(&a, CODE_REV);
+        assert!(
+            material.ends_with(&format!("\"config\": {}}}", encode_config(&a))),
+            "the config is keyed exactly as encoded: {material}"
         );
         let mut c = a.clone();
         c.audit = true;

@@ -19,10 +19,8 @@
 //!   *same* generated access stream, exactly as the paper reruns one
 //!   benchmark under each scheme;
 //! * results are indexed by coordinates, so `--jobs 1` and `--jobs 64`
-//!   produce byte-identical reports, and each cell's sharded event engine
-//!   is deterministic in its own right, so any `--jobs × --shards`
-//!   combination reports the same bytes (`determinism.rs` proves the
-//!   cross product);
+//!   produce byte-identical reports (`determinism.rs` proves it for every
+//!   production matrix);
 //! * a panicking or failing cell is captured as an error row ([`CellOutcome`])
 //!   instead of killing the sweep.
 //!
@@ -81,7 +79,7 @@ pub struct CellOutcome<T> {
 /// cycle the warmup prefix runs to.
 ///
 /// The checkpoint protocol ([`SweepMatrix::run`]): each cell's key is
-/// `sha256(CODE_REV ‖ warm_key(config) ‖ cut)` — the same shards-normalized
+/// `sha256(CODE_REV ‖ warm_key(config) ‖ cut)` — the same config
 /// identity [`System::restore`] enforces, wrapped with the simulator
 /// revision so a code change invalidates every checkpoint at once. A hit
 /// restores the snapshot and simulates only the tail past `cut`; a miss
@@ -188,7 +186,6 @@ pub struct SweepMatrix {
     size: WorkloadSize,
     matrix_seed: u64,
     audit: bool,
-    shards: usize,
 }
 
 impl SweepMatrix {
@@ -207,7 +204,6 @@ impl SweepMatrix {
             size,
             matrix_seed: 2015,
             audit: crate::audit_from_args(),
-            shards: crate::shards_from_args(),
         }
     }
 
@@ -256,15 +252,6 @@ impl SweepMatrix {
         self
     }
 
-    /// Sets the intra-run shard count for every cell, overriding the
-    /// `--shards` default. Shards never change a cell's seed, label or
-    /// report — only how many threads simulate it.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Axis lengths `[override, gpu, safety, workload]` after defaulting.
     #[must_use]
     pub fn dims(&self) -> [usize; 4] {
@@ -306,9 +293,8 @@ impl SweepMatrix {
                         let mut config = base_config(workload, gpu, self.size);
                         config.safety = safety;
                         // Before the override, so an override can flip
-                        // them.
+                        // it.
                         config.audit = self.audit;
-                        config.shards = self.shards;
                         let mut label_override = String::new();
                         if let Some((name, f)) = overrides.get(oi) {
                             f(&mut config);
@@ -371,7 +357,7 @@ impl SweepMatrix {
 }
 
 /// Checkpoint file name for one cell: the simulator revision, the
-/// shards-normalized config identity and the cut, hashed so the name is
+/// config identity and the cut, hashed so the name is
 /// filesystem-safe and leaks nothing.
 fn checkpoint_path(dir: &Path, config: &SystemConfig, cut: u64) -> PathBuf {
     let material = format!("{CODE_REV}\u{0}{}\u{0}{cut}", warm_key(config));
@@ -779,20 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_apply_to_every_cell_without_touching_seeds_or_labels() {
-        let plain = tiny_matrix().cells();
-        let sharded = tiny_matrix().shards(4).cells();
-        assert!(plain.iter().all(|c| c.config.shards == 1));
-        assert!(sharded.iter().all(|c| c.config.shards == 4));
-        for (p, s) in plain.iter().zip(&sharded) {
-            assert_eq!(p.label, s.label);
-            assert_eq!(p.config.seed, s.config.seed);
-        }
-        // Sub-1 requests clamp rather than wedging the engine.
-        assert!(tiny_matrix().shards(0).cells()[0].config.shards == 1);
-    }
-
-    #[test]
     fn summary_triages_abort_reasons() {
         let m = SweepMatrix::new(WorkloadSize::Tiny)
             .safeties(&[SafetyModel::AtsOnlyIommu])
@@ -878,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_composes_with_trace_replay_and_shards() {
+    fn warm_start_composes_with_trace_replay() {
         let m = tiny_matrix();
         let plain = m.run(&SweepOptions::with_jobs(2));
         let trace_dir = scratch_dir("warm-trace");
@@ -889,11 +861,11 @@ mod tests {
             .warm_start(&warm_dir, 1_500);
         let cold = m.run(&opts);
         assert_eq!(report_bytes(&plain), report_bytes(&cold));
-        // Checkpoints cut under shards=1 restore under shards=2: the
-        // warm key normalizes shard count, like the result cache.
-        let sharded = tiny_matrix().shards(2).run(&opts);
-        assert_eq!(sharded.warm_hits, 4, "shard count must not miss");
-        assert_eq!(report_bytes(&plain), report_bytes(&sharded));
+        // The second pass restores every cell from the checkpoints the
+        // first one published, replaying traces for the tail.
+        let warm = m.run(&opts);
+        assert_eq!(warm.warm_hits, 4, "every checkpoint must hit");
+        assert_eq!(report_bytes(&plain), report_bytes(&warm));
         let _ = std::fs::remove_dir_all(&trace_dir);
         let _ = std::fs::remove_dir_all(&warm_dir);
     }

@@ -69,13 +69,12 @@ fn sweep_reports_are_independent_of_thread_count() {
 /// Runs a matrix's cells at a reduced per-wavefront op cap (the full tiny
 /// cap across all ~300 production cells would dominate the suite's wall
 /// time) and returns each cell's serialized report, in matrix order.
-fn run_capped(cells: &[SweepCell], jobs: usize, shards: usize) -> Vec<(String, String)> {
+fn run_capped(cells: &[SweepCell], jobs: usize) -> Vec<(String, String)> {
     let capped: Vec<SweepCell> = cells
         .iter()
         .map(|c| {
             let mut c = c.clone();
             c.config.max_ops_per_wavefront = Some(200);
-            c.config.shards = shards;
             c
         })
         .collect();
@@ -92,22 +91,13 @@ fn run_capped(cells: &[SweepCell], jobs: usize, shards: usize) -> Vec<(String, S
 }
 
 /// Every sweeping binary's production matrix (fig4–fig7, attacks,
-/// cpu_coherence), at tiny size: identical reports for every cell across
-/// the `--jobs × --shards` cross product — cells fanned out over sweep
-/// workers, each simulation fanned out over engine shards, and both at
-/// once. The matrices come from [`bc_experiments::matrices`] — the same
-/// constructors `main` uses — so an axis reorder, seed-derivation change
-/// or shard-scheduling leak fails here, not in a figure.
-///
-/// Every matrix runs the `--jobs` variant; the shard-bearing variants
-/// run on fig4 (the full decomposed-frontend matrix) and cpu_coherence
-/// (host-activity events seeded into the backend component) — per-model
-/// shard identity across all ten golden configs is already pinned by
-/// `tests/shard_identity.rs`, and multi-shard cells on a starved host
-/// pay barrier quanta per cell, so repeating them for every matrix buys
-/// wall-time, not coverage.
+/// cpu_coherence), at tiny size: identical reports for every cell at
+/// `--jobs 1` and `--jobs 4`. The matrices come from
+/// [`bc_experiments::matrices`] — the same constructors `main` uses — so
+/// an axis reorder or seed-derivation change fails here, not in a
+/// figure.
 #[test]
-fn all_binary_matrices_are_jobs_and_shards_independent() {
+fn all_binary_matrices_are_jobs_independent() {
     let tiny = WorkloadSize::Tiny;
     let all: [(&str, SweepMatrix); 6] = [
         ("fig4", matrices::fig4(tiny, &matrices::FIG4_GPUS)),
@@ -120,61 +110,45 @@ fn all_binary_matrices_are_jobs_and_shards_independent() {
     for (name, matrix) in all {
         let cells = matrix.cells();
         assert!(!cells.is_empty(), "{name} produced no cells");
-        let baseline = run_capped(&cells, 1, 1);
-        let variants: &[(usize, usize)] = if matches!(name, "fig4" | "cpu_coherence") {
-            &[(1, 4), (4, 1), (2, 2)]
-        } else {
-            &[(4, 1)]
-        };
-        for &(jobs, shards) in variants {
-            let variant = run_capped(&cells, jobs, shards);
-            assert_eq!(
-                baseline.len(),
-                variant.len(),
-                "{name} cell count diverged at --jobs {jobs} --shards {shards}"
-            );
-            for ((bl, br), (vl, vr)) in baseline.iter().zip(variant.iter()) {
-                assert_eq!(bl, vl, "{name}: cell order depends on scheduling");
-                assert_eq!(
-                    br, vr,
-                    "{name}/{bl} diverged at --jobs {jobs} --shards {shards}"
-                );
-            }
+        let baseline = run_capped(&cells, 1);
+        let variant = run_capped(&cells, 4);
+        assert_eq!(
+            baseline.len(),
+            variant.len(),
+            "{name} cell count diverged at --jobs 4"
+        );
+        for ((bl, br), (vl, vr)) in baseline.iter().zip(variant.iter()) {
+            assert_eq!(bl, vl, "{name}: cell order depends on scheduling");
+            assert_eq!(br, vr, "{name}/{bl} diverged at --jobs 4");
         }
     }
 }
 
 /// The `tenants` binary's production matrix at its production scale —
 /// 1000 tenants over 4 accelerators, both memory backends — emits a
-/// byte-identical JSON document across the full `--jobs × --shards`
-/// cross product: cells fanned over sweep workers, each multi-tenant
-/// simulation fanned over engine shards, and both at once. This is the
-/// document the bench artifact records, so a scheduling leak anywhere
-/// in the scheduler/teardown/storm machinery fails here as a byte diff
-/// with the cell label in the panic message.
+/// byte-identical JSON document at `--jobs 1` and `--jobs 4`. This is the
+/// document the bench artifact records, so a scheduling leak anywhere in
+/// the scheduler/teardown/storm machinery fails here as a byte diff.
 #[test]
-fn tenants_matrix_is_jobs_and_shards_independent() {
-    let matrix_json = |jobs: usize, shards: usize| {
+fn tenants_matrix_is_jobs_independent() {
+    let matrix_json = |jobs: usize| {
         let base = TenantsConfig {
             tenants: 1000,
             accels: 4,
-            shards,
             ..TenantsConfig::default()
         };
         let cells = tenants_cells(&base, &[MemBackend::LocalDram, MemBackend::CxlPool]);
         tenants_matrix_json(&run_tenants_cells(&cells, jobs))
     };
 
-    let baseline = matrix_json(1, 1);
+    let baseline = matrix_json(1);
     assert!(baseline.contains("\"local-dram\""));
     assert!(baseline.contains("\"cxl-pool\""));
-    for (jobs, shards) in [(1, 4), (4, 1), (4, 4)] {
-        assert_eq!(
-            baseline,
-            matrix_json(jobs, shards),
-            "tenants matrix diverged at --jobs {jobs} --shards {shards}"
-        );
-    }
+    assert_eq!(
+        baseline,
+        matrix_json(4),
+        "tenants matrix diverged at --jobs 4"
+    );
 }
 
 /// The four non-sweeping binaries (tables 1–3 and the storage-overhead

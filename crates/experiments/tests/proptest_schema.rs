@@ -3,8 +3,8 @@
 //! The cache-key contract (`bc-serve`) requires that for *any* reachable
 //! [`SystemConfig`] — not just the handful of matrix shapes the figure
 //! binaries build — `encode(decode(encode(c))) == encode(c)` byte for
-//! byte, and that key material is sensitive to everything except the
-//! shard count. These tests drive the whole coordinate space: every enum
+//! byte, and that key material is a pure function of the config and the
+//! simulator revision. These tests drive the whole coordinate space: every enum
 //! axis, u64 seeds up to `u64::MAX`, optional fields both ways, and float
 //! knobs in the host-activity config.
 
@@ -89,7 +89,7 @@ fn config_strategy() -> impl Strategy<Value = SystemConfig> {
             (safety, gpu, behavior, workload, size),
             (seed, rate, phys, latency, ports),
             (parallel, huge, record, trace, audit),
-            (host_activity, max_ops, shards, selective),
+            (host_activity, max_ops, hop, selective),
         )| {
             let mut c = SystemConfig::table3_defaults();
             c.safety = SafetyModel::ALL[safety];
@@ -113,7 +113,7 @@ fn config_strategy() -> impl Strategy<Value = SystemConfig> {
             c.audit = audit;
             c.host_activity = host_activity;
             c.max_ops_per_wavefront = (max_ops > 0).then_some(max_ops);
-            c.shards = shards;
+            c.cluster_hop_latency = hop as u64;
             c.flush_policy = if selective {
                 FlushPolicy::Selective
             } else {
@@ -153,13 +153,11 @@ proptest! {
         prop_assert_eq!(&first, &second, "round trip changed canonical bytes");
     }
 
-    /// Key material is a pure function of the config modulo shards: the
-    /// decoded twin keys identically, a shard change keys identically,
-    /// and a seed flip never does.
+    /// Key material is a pure function of the config: the decoded twin
+    /// keys identically, and a seed flip or revision change never does.
     #[test]
-    fn key_material_is_stable_and_shard_blind(
+    fn key_material_is_stable(
         config in config_strategy(),
-        other_shards in 1usize..32,
         seed_flip in 1u64..u64::MAX,
     ) {
         let key = schema::config_key_material(&config, schema::CODE_REV);
@@ -168,13 +166,6 @@ proptest! {
         prop_assert_eq!(
             &key,
             &schema::config_key_material(&decoded, schema::CODE_REV)
-        );
-
-        let mut sharded = config.clone();
-        sharded.shards = other_shards;
-        prop_assert_eq!(
-            &key,
-            &schema::config_key_material(&sharded, schema::CODE_REV)
         );
 
         let mut reseeded = config.clone();
@@ -232,5 +223,6 @@ fn key_material_spells_code_rev_first() {
         material.starts_with(&format!("{{\"code_rev\": \"{}\"", schema::CODE_REV)),
         "{material:.80}"
     );
-    assert!(material.contains("\"shards\": 1"));
+    assert!(material.contains(&format!("\"schema\": {}", schema::SCHEMA_VERSION)));
+    assert!(!material.contains("\"shards\""), "retired in schema 2");
 }

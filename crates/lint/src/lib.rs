@@ -1,7 +1,7 @@
 //! `bc-lint` — workspace determinism & robustness lint.
 //!
 //! Every guarantee this reproduction makes (golden `RunReport`s
-//! byte-identical across `--jobs × --shards`, results cacheable by
+//! byte-identical at any `--jobs`, results cacheable by
 //! `sha256(config)`) rests on the simulation crates being
 //! *deterministic by construction*. The determinism suites and golden
 //! snapshots enforce that dynamically; `bc-lint` enforces it

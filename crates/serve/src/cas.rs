@@ -4,10 +4,9 @@
 //! `sha256(config_key_material(config, CODE_REV))` — a digest of the
 //! *canonical* config encoding ([`bc_experiments::schema`]) with the
 //! simulator revision folded in. Because report bytes are a pure function
-//! of that key material (the determinism and shard-identity suites prove
-//! `--jobs`/`--shards` never change a byte, and `shards` is normalized out
-//! of the key), a key hit can serve the stored bytes as if the simulation
-//! had run.
+//! of that key material (the determinism suite proves `--jobs` never
+//! changes a byte), a key hit can serve the stored bytes as if the
+//! simulation had run.
 //!
 //! Objects are one file per key:
 //!

@@ -493,7 +493,6 @@ fn parse_matrix_spec(
     let mut name = String::new();
     let mut size = WorkloadSize::Small;
     let mut audit = false;
-    let mut shards = 1usize;
     let mut seed: Option<u64> = None;
     for (key, value) in pairs {
         match key.as_str() {
@@ -509,13 +508,6 @@ fn parse_matrix_spec(
                     .ok_or_else(|| format!("unknown size '{label}'"))?;
             }
             "audit" => audit = value.as_bool().ok_or("\"audit\" must be a boolean")?,
-            "shards" => {
-                shards = value
-                    .as_u64()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or("\"shards\" must be a positive integer")?;
-            }
             "seed" => {
                 seed = Some(
                     value
@@ -540,8 +532,8 @@ fn parse_matrix_spec(
             ))
         }
     };
-    // Pin scheduling knobs from the spec, never from this server's argv.
-    matrix = matrix.audit(audit).shards(shards);
+    // Pin the audit knob from the spec, never from this server's argv.
+    matrix = matrix.audit(audit);
     if let Some(seed) = seed {
         matrix = matrix.seed(seed);
     }

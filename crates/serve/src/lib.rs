@@ -3,8 +3,8 @@
 //!
 //! The figure binaries rerun every sweep cell from scratch on each
 //! invocation, even though a cell's [`bc_system::RunReport`] is a pure
-//! function of its configuration — the determinism suites prove that
-//! `--jobs` and `--shards` never change a report byte. This crate turns
+//! function of its configuration — the determinism suite proves that
+//! `--jobs` never changes a report byte. This crate turns
 //! that purity into a service:
 //!
 //! * [`gateway`] — accepts sweep/cell jobs as JSON over loopback HTTP,

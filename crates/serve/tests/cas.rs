@@ -114,10 +114,9 @@ fn corruption_on_disk_is_a_miss_not_a_serve() {
 
 /// Every knob of [`SystemConfig`] must move the cache key — a knob the
 /// key ignores would alias two different simulations onto one cached
-/// result. `shards` is the one deliberate exception (reports are proven
-/// byte-identical across shard counts), pinned at the end.
+/// result.
 #[test]
-fn every_config_field_moves_the_key_except_shards() {
+fn every_config_field_moves_the_key() {
     type Mutation = (&'static str, fn(&mut SystemConfig));
     let mutations: &[Mutation] = &[
         ("safety", |c| c.safety = SafetyModel::CapiLike),
@@ -208,12 +207,6 @@ fn every_config_field_moves_the_key_except_shards() {
             "mutating {name} did not move the cache key"
         );
     }
-
-    // The deliberate exception: shard count never changes report bytes,
-    // so it must not fragment the cache.
-    let mut sharded = base.clone();
-    sharded.shards = 8;
-    assert_eq!(Cas::key_for(&sharded), base_key);
 
     // The code revision is key material even with an identical config.
     assert_ne!(Cas::key_for_rev(&base, "some-other-rev"), base_key);

@@ -74,7 +74,6 @@ fn cell_body(addr: std::net::SocketAddr, job: u64, i: usize) -> String {
 fn attacks_cells() -> Vec<(String, SystemConfig)> {
     matrices::attacks(WorkloadSize::Tiny)
         .audit(false)
-        .shards(1)
         .cells()
         .into_iter()
         .map(|c| (c.label, c.config))
@@ -268,6 +267,39 @@ fn concurrent_clients_racing_the_same_sweep_agree_byte_for_byte() {
     assert_eq!(objects, n, "store should hold one object per cell");
 }
 
+/// The retired `shards` knob is gone from both job shapes: a matrix spec
+/// naming it is an unknown field, and a version-1 cell config (the
+/// schema that still carried it) is refused by version.
+#[test]
+fn retired_shards_field_and_v1_configs_are_rejected() {
+    let ts = TestServer::start("no-shards", 1, None);
+    let addr = ts.addr();
+
+    let (status, body) = client::post(
+        addr,
+        "/v1/jobs",
+        "{\"matrix\": \"fig5\", \"size\": \"tiny\", \"shards\": 1}",
+    )
+    .unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown job spec field 'shards'"), "{body}");
+
+    let mut config = SystemConfig::table3_defaults();
+    config.size = WorkloadSize::Tiny;
+    let v1 = schema::encode_config(&config)
+        .replace(
+            &format!("\"schema\": {}", schema::SCHEMA_VERSION),
+            "\"schema\": 1",
+        )
+        .replace(
+            "  \"cluster_hop_latency\":",
+            "  \"shards\": 1,\n  \"cluster_hop_latency\":",
+        );
+    let (status, body) = client::post(addr, "/v1/jobs", &v1).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("schema version 1"), "{body}");
+}
+
 #[test]
 fn malformed_requests_are_rejected_not_served() {
     let ts = TestServer::start("malformed", 1, None);
@@ -348,7 +380,6 @@ fn worker_panic_marks_the_job_failed_and_the_server_survives() {
     // still serve correct bytes.
     let cells: Vec<(String, SystemConfig)> = matrices::fig5(WorkloadSize::Tiny)
         .audit(false)
-        .shards(1)
         .cells()
         .into_iter()
         .map(|c| (c.label, c.config))

@@ -57,9 +57,10 @@ pub enum AuditKind {
     WritebackOverflow,
     /// The downgrade-drain `stall_until` horizon moved backwards.
     StallRegression,
-    /// A sharded-engine send violated the mailbox ordering contract
+    /// A component send violated the executor's scheduling contract
     /// (scheduled into the past, or across components below the
-    /// conservative lookahead floor).
+    /// lookahead floor). The `shard-order` label predates the serial
+    /// executor and is kept because audited report bytes spell it.
     ShardOrder,
     /// The deferred-commit counter for the quiesce protocol was
     /// decremented below zero — a commit arrived that was never
@@ -364,18 +365,18 @@ impl Auditor {
         );
     }
 
-    /// Records a sharded-engine scheduling-contract violation: component
+    /// Records an executor scheduling-contract violation: component
     /// `src` sent component `dst` an event for cycle `at`, below the
     /// legal floor `floor` (now+1 for self-sends, now+lookahead across
-    /// components). The engine clamps the event to `floor`; the finding
-    /// documents that the model, not the engine, broke the contract.
+    /// components). The executor clamps the event to `floor`; the finding
+    /// documents that the model, not the executor, broke the contract.
     pub fn shard_order(&mut self, now: u64, src: usize, dst: usize, at: u64, floor: u64) {
         self.record(
             AuditKind::ShardOrder,
             now,
             format!(
                 "component {src} sent component {dst} an event for cycle {at}, \
-                 below the mailbox floor {floor}"
+                 below the lookahead floor {floor}"
             ),
         );
     }

@@ -17,10 +17,10 @@
 //! * [`resource`] — contended-resource helpers ([`resource::Port`],
 //!   [`resource::Channels`]) used to model bandwidth-limited structures
 //!   such as DRAM channels and IOMMU page-walkers.
-//! * [`shard`] — a conservative-lookahead sharded executor running one
-//!   [`EventQueue`] per logical component across worker threads, with a
-//!   `(cycle, src, seq)` total order that makes the schedule identical
-//!   at any shard count.
+//! * [`executor`] — a serial executor for a machine decomposed into
+//!   logical components, dispatching one [`EventQueue`] in the global
+//!   `(cycle, component, src, seq)` order and enforcing the
+//!   cross-component lookahead contract.
 //!
 //! # Example
 //!
@@ -44,11 +44,11 @@
 pub mod audit;
 mod cycle;
 mod event;
+pub mod executor;
 pub mod fxmap;
 pub mod resource;
 pub mod rng;
 pub mod sha256;
-pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod trace;

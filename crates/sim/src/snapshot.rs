@@ -13,8 +13,8 @@
 //! # Identity contract
 //!
 //! Restoring a snapshot and continuing must be **byte-identical** to the
-//! straight-through run: every `RunReport` field, every golden, at any
-//! shard count. Implementations therefore serialize state *exactly* —
+//! straight-through run: every `RunReport` field, every golden.
+//! Implementations therefore serialize state *exactly* —
 //! LRU clocks, RNG words, port calendars, event keys — and may omit only
 //! state that is provably derived (rebuilt on demand) or invisible to
 //! behavior. Iteration over unordered maps must be sorted before

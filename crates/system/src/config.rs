@@ -146,19 +146,11 @@ pub struct SystemConfig {
     /// host time, so it is off by default and enabled by test harnesses
     /// and the `--audit` sweep flag.
     pub audit: bool,
-    /// Worker shards for intra-run parallelism: the per-CU frontends and
-    /// the shared backend (L2 + Border Control + IOMMU + host memory) are
-    /// distributed over this many cooperating threads. Simulated timing
-    /// and every `RunReport` byte are identical at any shard count; only
-    /// host wall-clock changes. Clamped to the number of simulated
-    /// components at run time.
-    pub shards: usize,
     /// Minimum cross-component latency (cycles) on the accelerator's
     /// on-chip interconnect: every message between a CU cluster and the
-    /// shared L2/BCC side takes at least this long. It doubles as the
-    /// conservative lookahead window of the sharded engine — shards may
-    /// run ahead of each other by up to this many cycles without
-    /// synchronizing.
+    /// shared L2/BCC side takes at least this long. It is the executor's
+    /// cross-component lookahead ([`bc_sim::executor`]): a send below it
+    /// is clamped and reported as a `shard-order` audit finding.
     pub cluster_hop_latency: u64,
 }
 
@@ -199,7 +191,6 @@ impl SystemConfig {
             max_ops_per_wavefront: None,
             max_cycles: 2_000_000_000,
             audit: false,
-            shards: 1,
             cluster_hop_latency: 8,
         }
     }

@@ -1,20 +1,16 @@
-//! Per-CU frontend component of the sharded system.
+//! Per-CU frontend component of the decomposed system.
 //!
 //! The direct-access safety models (ATS-only and both Border Control
 //! configurations) keep private L1s and L1 TLBs next to each compute
-//! unit. That locality is what makes intra-run parallelism possible: a
-//! CU cluster (wavefront scheduler + issue port + L1 + L1 TLB) only
-//! talks to the rest of the machine through messages that cross the
+//! unit. A CU cluster (wavefront scheduler + issue port + L1 + L1 TLB)
+//! only talks to the rest of the machine through messages that cross the
 //! accelerator's on-chip interconnect, and every such hop costs at
 //! least [`SystemConfig::cluster_hop_latency`] cycles. Each cluster
-//! therefore becomes one logical component of the sharded engine
-//! ([`bc_sim::shard`]), exchanging [`Event`]s with the shared backend
-//! (L2 + MSHRs + Border Control + IOMMU + DRAM + host) under the
-//! engine's conservative-lookahead schedule.
-//!
-//! Determinism does not depend on which shard a frontend lands on: the
-//! engine orders same-cycle events by `(source component, per-source
-//! sequence)`, both of which are logical properties of the run.
+//! therefore becomes one logical component of the executor
+//! ([`bc_sim::executor`]), exchanging [`Event`]s with the shared backend
+//! (L2 + MSHRs + Border Control + IOMMU + DRAM + host). Same-cycle
+//! events dispatch in `(component, source component, per-source
+//! sequence)` order, all logical properties of the run.
 //!
 //! [`SystemConfig::cluster_hop_latency`]: crate::SystemConfig::cluster_hop_latency
 
@@ -24,8 +20,8 @@ use bc_cache::TlbEntry;
 use bc_mem::addr::{Asid, PhysAddr, Ppn, Vpn};
 use bc_mem::VirtAddr;
 use bc_os::{ShootdownRequest, ShootdownScope};
+use bc_sim::executor::Outbox;
 use bc_sim::resource::Port;
-use bc_sim::shard::Outbox;
 use bc_sim::{Cycle, SimRng};
 use bc_workloads::{BlockList, WarpOp};
 

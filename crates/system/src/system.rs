@@ -16,7 +16,7 @@ use bc_os::{
     Kernel, KernelConfig, OsError, ShootdownRequest, ShootdownScope, Violation, ViolationPolicy,
 };
 use bc_sim::audit::Auditor;
-use bc_sim::shard::{CompId, Outbox, ShardEngine, ShardHandler, ShardSpec};
+use bc_sim::executor::{CompId, ExecRun, Executor, Handler, Outbox, PendingEvent};
 use bc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
 use bc_sim::trace::{TraceKind, Tracer};
 use bc_sim::{Cycle, SimRng};
@@ -93,11 +93,11 @@ fn split_footprint(pages: u64, writable_fraction: f64) -> (u64, u64) {
 /// completion; see the crate-level example.
 ///
 /// Internally the machine is decomposed into logical components of the
-/// sharded engine ([`bc_sim::shard`]): when the safety model keeps
+/// serial executor ([`bc_sim::executor`]): when the safety model keeps
 /// per-CU L1s, each CU cluster becomes a [`Frontend`] and everything
 /// shared (L2, MSHRs, Border Control, IOMMU, DRAM, host CPU, OS) stays
-/// in the [`Backend`]. [`SystemConfig::shards`] spreads the components
-/// over worker threads; simulated timing is identical at any count.
+/// in the [`Backend`]. Components talk only through timestamped events
+/// at least [`SystemConfig::cluster_hop_latency`] apart.
 pub struct System {
     pub(crate) back: Backend,
     pub(crate) frontends: Vec<Frontend>,
@@ -106,17 +106,16 @@ pub struct System {
     resume: Option<ResumeState>,
 }
 
-/// The sharded engine's pending calendar at a warm-start cut. Component
-/// ids and `(src, seq)` dispatch keys are logical properties of the run,
-/// so a snapshot restores under any [`SystemConfig::shards`] setting.
+/// The executor's pending calendar at a warm-start cut, with the
+/// `(src, seq)` dispatch keys that fix its same-cycle order.
 struct ResumeState {
-    pending: Vec<bc_sim::shard::PendingEvent<Event>>,
+    pending: Vec<PendingEvent<Event>>,
     out_seqs: Vec<u64>,
 }
 
 /// The shared side of the machine (plus, for centralized safety models,
 /// the whole machine): everything behind the accelerator's on-chip
-/// interconnect, driven as one logical component of the sharded engine.
+/// interconnect, driven as one logical component of the executor.
 pub(crate) struct Backend {
     config: SystemConfig,
     kernel: Kernel,
@@ -167,7 +166,7 @@ pub(crate) struct Backend {
     done_wfs: u64,
     total_wfs: u64,
     /// Messages produced by the current dispatch, drained into the
-    /// engine's outbox by the shard worker (self-sends included).
+    /// executor's outbox after it (self-sends included).
     outgoing: Vec<(CompId, Cycle, Event)>,
     /// Latest in-flight `TlbFill` arrival at any frontend. A mapping
     /// downgrade must quiesce past this horizon before committing, or a
@@ -1535,32 +1534,28 @@ impl Backend {
     }
 }
 
-/// One shard's slice of the machine: at most one worker owns the
-/// backend; each owns the frontends assigned to its shard.
-struct Worker<'a> {
-    back: Option<&'a mut Backend>,
-    fronts: Vec<(usize, &'a mut Frontend)>,
+/// The executor's view of the machine: component `i < frontends.len()`
+/// is `frontends[i]`, the next one is the backend.
+struct Machine<'a> {
+    back: &'a mut Backend,
+    fronts: &'a mut [Frontend],
 }
 
-impl ShardHandler<Event> for Worker<'_> {
+impl Handler<Event> for Machine<'_> {
     fn handle(&mut self, comp: CompId, now: Cycle, ev: Event, out: &mut Outbox<'_, Event>) {
-        match self.fronts.iter_mut().find(|(id, _)| *id == comp) {
-            Some((_, f)) => f.handle(now, ev, out),
-            None => {
-                let back = self
-                    .back
-                    .as_mut()
-                    .expect("event routed to a shard owning neither backend nor component");
-                back.handle(now, ev);
-                // Drain the dispatch's messages into the engine (the
-                // buffer swap keeps its allocation warm).
-                let mut msgs = std::mem::take(&mut back.outgoing);
-                for (to, at, ev) in msgs.drain(..) {
-                    out.send(to, at, ev);
-                }
-                back.outgoing = msgs;
-            }
+        if let Some(f) = self.fronts.get_mut(comp) {
+            f.handle(now, ev, out);
+            return;
         }
+        let back = &mut *self.back;
+        back.handle(now, ev);
+        // Drain the dispatch's messages into the executor (the buffer
+        // swap keeps its allocation warm).
+        let mut msgs = std::mem::take(&mut back.outgoing);
+        for (to, at, ev) in msgs.drain(..) {
+            out.send(to, at, ev);
+        }
+        back.outgoing = msgs;
     }
 }
 
@@ -1570,7 +1565,7 @@ impl System {
     /// Table 2's structure for the chosen safety model, and (for Border
     /// Control configurations) allocates the Protection Table. Safety
     /// models that keep per-CU L1s get their CU clusters peeled off into
-    /// per-component frontends so the run can shard.
+    /// per-component frontends.
     ///
     /// # Errors
     ///
@@ -1666,16 +1661,9 @@ impl System {
 
     /// Runs the machine until every wavefront drains (or a violation kills
     /// the process / the cycle valve trips), returning the report.
-    ///
-    /// The event schedule — and therefore every byte of the report — is
-    /// identical at any [`SystemConfig::shards`] setting: shard count
-    /// only decides which worker thread dispatches which component.
     pub fn run(&mut self) -> RunReport {
-        let (spec, assignment) = self.shard_plan();
-        let shards = spec.shards;
-        let mut engine = ShardEngine::new(spec);
-        self.prime_engine(&mut engine);
-        let run = self.drive(&mut engine, shards, &assignment, None);
+        let mut exec = self.primed_executor();
+        let run = exec.run(&mut self.machine());
         self.absorb_engine_telemetry(&run);
 
         // A frontend-side cycle-valve trip is a global CycleLimit abort
@@ -1691,22 +1679,18 @@ impl System {
     /// complete simulator state — every component plus the engine's
     /// pending calendar — as a versioned warm-start snapshot. Restoring
     /// the bytes ([`System::restore`]) and continuing produces a run
-    /// byte-identical to one that never paused, at any shard count
-    /// (component ids and dispatch keys are logical, not placement).
+    /// byte-identical to one that never paused.
     ///
     /// After this call the system holds the post-cut component state but
     /// its calendar has been drained into the snapshot: to continue the
     /// run, restore the returned bytes rather than calling
     /// [`System::run`] on this instance.
     pub fn snapshot_to(&mut self, cut: Cycle, code_rev: &str) -> Vec<u8> {
-        let (spec, assignment) = self.shard_plan();
-        let shards = spec.shards;
-        let mut engine = ShardEngine::new(spec);
-        self.prime_engine(&mut engine);
-        let run = self.drive(&mut engine, shards, &assignment, Some(cut));
+        let mut exec = self.primed_executor();
+        let run = exec.run_until(&mut self.machine(), cut);
         self.absorb_engine_telemetry(&run);
-        let pending = engine.drain_pending();
-        let out_seqs = engine.out_seqs();
+        let pending = exec.drain_pending();
+        let out_seqs = exec.out_seqs().to_vec();
 
         let mut w = SnapWriter::with_header(code_rev);
         w.str(&warm_key(&self.back.config));
@@ -1731,8 +1715,7 @@ impl System {
     /// it to continue exactly where the snapshot cut: the next
     /// [`System::run`] restores the serialized calendar instead of
     /// seeding a fresh one. `config` must match the snapshotting config
-    /// in every field except [`SystemConfig::shards`] (the engine's
-    /// schedule is shard-invariant); `source` re-opens every wavefront's
+    /// in every field; `source` re-opens every wavefront's
     /// op stream under the [`bc_workloads::StreamSource`] determinism
     /// contract.
     ///
@@ -1786,7 +1769,7 @@ impl System {
             if comp >= components {
                 return Err(SnapError::BadValue("pending event component").into());
             }
-            pending.push(bc_sim::shard::PendingEvent {
+            pending.push(PendingEvent {
                 comp,
                 at: r.snap()?,
                 src: r.u32()?,
@@ -1803,83 +1786,44 @@ impl System {
         Ok(sys)
     }
 
-    /// The engine layout for this machine: spec plus the
-    /// component-to-shard assignment (the backend gets shard 0 to itself
-    /// — it is the contended component; frontends round-robin over the
-    /// rest, and every shard is non-empty because `shards <=
-    /// components`).
-    fn shard_plan(&self) -> (ShardSpec, Vec<usize>) {
-        let components = self.frontends.len() + 1;
+    /// A fresh executor holding this machine's initial calendar: the
+    /// serialized warm-start calendar when one is staged, the serial
+    /// seeding order otherwise.
+    fn primed_executor(&mut self) -> Executor<Event> {
         let back_comp = self.frontends.len();
-        let shards = self.back.config.shards.max(1).min(components);
-        let mut assignment = vec![0usize; components];
-        if shards > 1 {
-            for (i, slot) in assignment.iter_mut().enumerate().take(back_comp) {
-                *slot = 1 + (i % (shards - 1));
-            }
-        }
-        let spec = ShardSpec {
-            components,
-            shards,
-            assignment: assignment.clone(),
-            lookahead: self.back.lookahead,
-        };
-        (spec, assignment)
-    }
-
-    /// Fills the engine's calendar: the serialized warm-start calendar
-    /// when one is staged, the serial seeding order otherwise.
-    fn prime_engine(&mut self, engine: &mut ShardEngine<Event>) {
+        let mut exec = Executor::new(back_comp + 1, self.back.lookahead);
         if let Some(rs) = self.resume.take() {
-            engine.restore_pending(rs.pending);
-            engine.set_out_seqs(&rs.out_seqs);
-            return;
+            exec.restore_pending(rs.pending);
+            exec.set_out_seqs(&rs.out_seqs);
+            return exec;
         }
-        let back_comp = self.frontends.len();
         if self.frontends.is_empty() {
             for cu in 0..self.back.gpu.cus.len() {
                 for wf in 0..self.back.gpu.cus[cu].wavefronts.len() {
-                    engine.seed(back_comp, Cycle::ZERO, Event::WavefrontReady { cu, wf });
+                    exec.seed(back_comp, Cycle::ZERO, Event::WavefrontReady { cu, wf });
                 }
             }
         } else {
             for (i, f) in self.frontends.iter().enumerate() {
                 for wf in 0..f.cu.wavefronts.len() {
-                    engine.seed(i, Cycle::ZERO, Event::WavefrontReady { cu: i, wf });
+                    exec.seed(i, Cycle::ZERO, Event::WavefrontReady { cu: i, wf });
                 }
             }
         }
         let period = self.back.config.downgrade_period_cycles();
         if period != u64::MAX {
-            engine.seed(back_comp, Cycle::new(period), Event::Downgrade);
+            exec.seed(back_comp, Cycle::new(period), Event::Downgrade);
         }
         if let Some(activity) = self.back.config.host_activity {
-            engine.seed(back_comp, Cycle::new(activity.period), Event::CpuTick);
+            exec.seed(back_comp, Cycle::new(activity.period), Event::CpuTick);
         }
+        exec
     }
 
-    /// Assembles per-shard workers and runs the engine — to completion,
-    /// or (for a warm-start cut) no further than `until`.
-    fn drive(
-        &mut self,
-        engine: &mut ShardEngine<Event>,
-        shards: usize,
-        assignment: &[usize],
-        until: Option<Cycle>,
-    ) -> bc_sim::shard::ShardRun {
-        let mut workers: Vec<Worker<'_>> = (0..shards)
-            .map(|_| Worker {
-                back: None,
-                fronts: Vec::new(),
-            })
-            .collect();
-        workers[0].back = Some(&mut self.back);
-        for (i, f) in self.frontends.iter_mut().enumerate() {
-            workers[assignment[i]].fronts.push((i, f));
-        }
-        match until {
-            Some(cut) => engine.run_until(&mut workers, cut),
-            None => engine.run(&mut workers),
+    fn machine(&mut self) -> Machine<'_> {
+        Machine {
+            back: &mut self.back,
+            fronts: &mut self.frontends,
         }
     }
 
@@ -1887,35 +1831,29 @@ impl System {
     /// production components never trip the ordering floors (every
     /// cross-component send is latency-padded by construction), so a
     /// finding here means a scheduler or component bug.
-    fn absorb_engine_telemetry(&mut self, run: &bc_sim::shard::ShardRun) {
+    fn absorb_engine_telemetry(&mut self, run: &ExecRun) {
         for v in &run.violations {
             match &mut self.back.auditor {
                 Some(a) => a.shard_order(v.now, v.src, v.dst, v.at, v.floor),
-                None => debug_assert!(false, "sharded engine clamped a send: {v:?}"),
+                None => debug_assert!(false, "executor clamped a send: {v:?}"),
             }
         }
         #[cfg(feature = "audit")]
-        for (comp, prev, at) in &run.queue_findings {
+        for &(prev, at) in &run.queue_findings {
             match &mut self.back.auditor {
-                Some(a) => a.queue_pop_order(*prev, *at),
-                None => {
-                    panic!("component {comp} queue popped cycle {at} after already popping {prev}")
-                }
+                Some(a) => a.queue_pop_order(prev, at),
+                None => panic!("event queue popped cycle {at} after already popping {prev}"),
             }
         }
     }
 }
 
 /// Canonical configuration identity for warm-start checkpoints: every
-/// timing-relevant field of the config, with [`SystemConfig::shards`]
-/// normalized away — the sharded engine's schedule is byte-identical at
-/// any shard count, so one checkpoint serves them all. The rendering is
-/// compared for equality only, never parsed.
+/// field of the config. The rendering is compared for equality only,
+/// never parsed.
 #[must_use]
 pub fn warm_key(config: &SystemConfig) -> String {
-    let mut c = config.clone();
-    c.shards = 1;
-    format!("{c:?}")
+    format!("{config:?}")
 }
 
 /// Errors from [`System::restore`].
@@ -1926,8 +1864,7 @@ pub enum RestoreError {
     /// The snapshot bytes are malformed, truncated, or from a different
     /// code revision.
     Snapshot(SnapError),
-    /// The snapshot was taken under a different configuration (only the
-    /// shard count may differ between snapshot and restore).
+    /// The snapshot was taken under a different configuration.
     ConfigMismatch,
 }
 
@@ -2649,31 +2586,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_never_changes_the_report() {
-        // Decomposed (8 frontends) and centralized (single-component)
-        // models, byte-compared across shard counts — including counts
-        // past the component clamp.
-        for safety in [
-            SafetyModel::AtsOnlyIommu,
-            SafetyModel::BorderControlBcc,
-            SafetyModel::FullIommu,
-        ] {
-            let mut c = tiny(safety);
-            c.gpu_class = GpuClass::HighlyThreaded;
-            c.max_ops_per_wavefront = Some(300);
-            let baseline = System::build(&c).unwrap().run().to_json();
-            for shards in [2, 4, 8] {
-                c.shards = shards;
-                let got = System::build(&c).unwrap().run().to_json();
-                assert_eq!(baseline, got, "{safety} diverged at {shards} shards");
-            }
-        }
-    }
-
-    #[test]
     fn decomposition_follows_the_safety_model() {
-        // Direct models shard per CU; centralized models keep one
-        // component (and degenerate to the serial schedule).
+        // Direct models get one frontend per CU; centralized models keep
+        // one component.
         let mut c = tiny(SafetyModel::BorderControlBcc);
         c.gpu_class = GpuClass::HighlyThreaded;
         let sys = System::build(&c).unwrap();

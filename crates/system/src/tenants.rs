@@ -29,9 +29,9 @@
 //!   restores pages of *running* tenants, exercising the §3.2.4
 //!   flush-before-commit path under load.
 //!
-//! The run is driven by the sharded engine of [`bc_sim::shard`], so the
-//! report is byte-identical at any `shards` setting, and the optional
-//! `--audit` oracle cross-checks every border decision plus the
+//! The run is driven by the serial component executor of
+//! [`bc_sim::executor`] (one component per accelerator plus the host
+//! backend), and the optional `--audit` oracle cross-checks every border decision plus the
 //! stale-translation teardown invariants.
 
 use bc_core::{BorderControl, BorderControlConfig, DowngradeAction, MemRequest};
@@ -43,7 +43,7 @@ use bc_mem::{VirtAddr, BLOCK_SIZE};
 use bc_os::sched::{DrainReason, SchedAction, SchedEvent, Scheduler, TenantPhase};
 use bc_os::{Kernel, KernelConfig, ViolationPolicy};
 use bc_sim::audit::{AuditReport, Auditor};
-use bc_sim::shard::{CompId, Outbox, ShardEngine, ShardHandler, ShardSpec};
+use bc_sim::executor::{CompId, Executor, Handler, Outbox};
 use bc_sim::{Cycle, SimRng};
 
 use crate::BuildError;
@@ -84,9 +84,9 @@ pub struct TenantsConfig {
     pub phys_bytes: u64,
     /// DRAM backend profile (local DDR vs CXL-like pool).
     pub mem_backend: MemBackend,
-    /// Worker shards (byte-identical results at any value).
-    pub shards: usize,
-    /// Conservative lookahead of the sharded engine.
+    /// Minimum latency (cycles) between an accelerator and the host
+    /// backend: the executor's cross-component lookahead. A send below
+    /// it is clamped and reported as a `shard-order` audit finding.
     pub lookahead: u64,
     /// Run the audit oracle alongside the machine.
     pub audit: bool,
@@ -109,7 +109,6 @@ impl Default for TenantsConfig {
             write_permille: 300,
             phys_bytes: 256 << 20,
             mem_backend: MemBackend::LocalDram,
-            shards: 1,
             lookahead: 8,
             audit: false,
             max_cycles: 200_000_000,
@@ -341,7 +340,7 @@ struct TenantRec {
 
 /// The host backend: kernel, shared DRAM, per-accelerator checking
 /// hardware, and the scheduling protocol machine. The single contended
-/// component, pinned to shard 0.
+/// component.
 struct HostBackend {
     comp: CompId,
     lookahead: u64,
@@ -831,30 +830,27 @@ impl HostBackend {
     }
 }
 
-/// Shard worker: owns the backend (shard 0) or a set of accel issue
-/// engines, mirroring the single-tenant `System::run` decomposition.
-struct TenantWorker<'a> {
-    back: Option<&'a mut HostBackend>,
-    accels: Vec<(usize, &'a mut AccelComp)>,
+/// The executor's view of the machine: component `i < accels.len()` is
+/// `accels[i]`, the next one is the host backend (mirroring the
+/// single-tenant `System::run` decomposition).
+struct TenantMachine<'a> {
+    back: &'a mut HostBackend,
+    accels: &'a mut [AccelComp],
 }
 
-impl ShardHandler<TEvent> for TenantWorker<'_> {
+impl Handler<TEvent> for TenantMachine<'_> {
     fn handle(&mut self, comp: CompId, now: Cycle, ev: TEvent, out: &mut Outbox<'_, TEvent>) {
-        match self.accels.iter_mut().find(|(id, _)| *id == comp) {
-            Some((_, a)) => a.handle(now, ev, out),
-            None => {
-                let back = self
-                    .back
-                    .as_mut()
-                    .expect("event routed to a shard owning neither backend nor accel");
-                back.handle(now, ev);
-                let mut msgs = std::mem::take(&mut back.outgoing);
-                for (to, at, ev) in msgs.drain(..) {
-                    out.send(to, at, ev);
-                }
-                back.outgoing = msgs;
-            }
+        if let Some(a) = self.accels.get_mut(comp) {
+            a.handle(now, ev, out);
+            return;
         }
+        let back = &mut *self.back;
+        back.handle(now, ev);
+        let mut msgs = std::mem::take(&mut back.outgoing);
+        for (to, at, ev) in msgs.drain(..) {
+            out.send(to, at, ev);
+        }
+        back.outgoing = msgs;
     }
 }
 
@@ -983,59 +979,35 @@ impl MultiTenantSystem {
     }
 
     /// Runs the machine until every tenant terminates (or the cycle
-    /// valve trips), returning the tail-latency report. Byte-identical
-    /// at any [`TenantsConfig::shards`] setting.
+    /// valve trips), returning the tail-latency report.
     pub fn run(&mut self) -> TenantsReport {
-        let components = self.accels.len() + 1;
         let back_comp = self.accels.len();
-        let shards = self.cfg.shards.max(1).min(components);
-        let mut assignment = vec![0usize; components];
-        if shards > 1 {
-            for (i, slot) in assignment.iter_mut().enumerate().take(back_comp) {
-                *slot = 1 + (i % (shards - 1));
-            }
-        }
-        let spec = ShardSpec {
-            components,
-            shards,
-            assignment: assignment.clone(),
-            lookahead: self.back.lookahead,
-        };
-        let mut engine = ShardEngine::new(spec);
-        engine.seed(back_comp, Cycle::ZERO, TEvent::Boot);
+        let mut exec = Executor::new(back_comp + 1, self.back.lookahead);
+        exec.seed(back_comp, Cycle::ZERO, TEvent::Boot);
         for accel in 0..self.accels.len() {
             // Small deterministic stagger so quanta don't all expire on
             // the same backend cycle.
-            engine.seed(
+            exec.seed(
                 back_comp,
                 Cycle::new(self.cfg.quantum + accel as u64),
                 TEvent::QuantumTick { accel },
             );
         }
         if self.cfg.storm_period > 0 {
-            engine.seed(
+            exec.seed(
                 back_comp,
                 Cycle::new(self.cfg.storm_period),
                 TEvent::StormTick,
             );
         }
-        let run = {
-            let mut workers: Vec<TenantWorker<'_>> = (0..shards)
-                .map(|_| TenantWorker {
-                    back: None,
-                    accels: Vec::new(),
-                })
-                .collect();
-            workers[0].back = Some(&mut self.back);
-            for (i, a) in self.accels.iter_mut().enumerate() {
-                workers[assignment[i]].accels.push((i, a));
-            }
-            engine.run(&mut workers)
-        };
+        let run = exec.run(&mut TenantMachine {
+            back: &mut self.back,
+            accels: &mut self.accels,
+        });
         for v in &run.violations {
             match self.back.slots.first_mut().and_then(|s| s.auditor.as_mut()) {
                 Some(a) => a.shard_order(v.now, v.src, v.dst, v.at, v.floor),
-                None => debug_assert!(false, "sharded engine clamped a send: {v:?}"),
+                None => debug_assert!(false, "executor clamped a send: {v:?}"),
             }
         }
         self.report(run.dispatched)
@@ -1326,20 +1298,6 @@ mod tests {
         );
         assert!(r.kill_p50 > 0, "kill latency must be visible");
         assert!(r.audit_clean(), "{}", r.to_json());
-    }
-
-    #[test]
-    fn shard_count_is_byte_invariant() {
-        let mut cfg = tiny(7, 3);
-        cfg.malicious_permille = 250;
-        cfg.probe_permille = 300;
-        let base = MultiTenantSystem::build(&cfg).expect("build").run();
-        for shards in [2, 4] {
-            let mut c = cfg.clone();
-            c.shards = shards;
-            let r = MultiTenantSystem::build(&c).expect("build").run();
-            assert_eq!(base.to_json(), r.to_json(), "shards={shards} diverged");
-        }
     }
 
     #[test]

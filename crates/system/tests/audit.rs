@@ -57,21 +57,21 @@ fn kill_mid_downgrade_storm_pins_abort_reason_and_stays_clean() {
 }
 
 #[test]
-fn kill_mid_downgrade_storm_is_clean_when_sharded() {
+fn kill_mid_downgrade_storm_is_cycle_identical_unaudited() {
     let mut c = storm_config();
     c.behavior = bc_accel::Behavior::Malicious {
         probe_period: 25,
         probe_writes: true,
     };
-    let serial = System::build(&c).expect("build").run();
-    c.shards = 3;
-    let sharded = System::build(&c).expect("build").run();
-    assert_eq!(serial.abort_reason, sharded.abort_reason);
+    let audited = System::build(&c).expect("build").run();
+    c.audit = false;
+    let plain = System::build(&c).expect("build").run();
+    assert_eq!(audited.abort_reason, plain.abort_reason);
     assert_eq!(
-        serial.cycles, sharded.cycles,
-        "kill cycle drifted across shards"
+        audited.cycles, plain.cycles,
+        "auditing moved the kill cycle"
     );
-    assert!(sharded.audit.as_ref().expect("audited").is_clean());
+    assert!(audited.audit.as_ref().expect("audited").is_clean());
 }
 
 #[test]

@@ -2,10 +2,9 @@
 //!
 //! The contract under test: running a machine straight through and
 //! running the same machine snapshot-then-restore at an arbitrary cut
-//! produce byte-identical reports — across every safety model, composed
-//! with sharding (snapshot under one shard count, restore under
-//! another), with the host actor, the invariant auditor, malicious
-//! hardware, downgrade storms, and huge pages in play. Reports are
+//! produce byte-identical reports — across every safety model, with the
+//! host actor, the invariant auditor, malicious hardware, downgrade
+//! storms, and huge pages in play. Reports are
 //! compared through their full `Debug` rendering, which covers every
 //! counter, violation record, and audit finding.
 
@@ -32,11 +31,10 @@ fn straight(c: &SystemConfig) -> String {
 }
 
 /// Run to `cut`, serialize, restore from the bytes, and finish the run.
-fn forked(snap_config: &SystemConfig, restore_config: &SystemConfig, cut: u64) -> String {
-    let mut s = System::build(snap_config).expect("builds");
+fn forked(c: &SystemConfig, cut: u64) -> String {
+    let mut s = System::build(c).expect("builds");
     let bytes = s.snapshot_to(Cycle::new(cut), REV);
-    let mut restored =
-        System::restore(restore_config, &bytes, REV, &LiveSynthesis).expect("restores");
+    let mut restored = System::restore(c, &bytes, REV, &LiveSynthesis).expect("restores");
     format!("{:?}", restored.run())
 }
 
@@ -52,7 +50,7 @@ fn fork_identity_across_safety_models() {
         let c = tiny(safety);
         assert_eq!(
             straight(&c),
-            forked(&c, &c, 3_000),
+            forked(&c, 3_000),
             "fork divergence under {safety:?}"
         );
     }
@@ -65,21 +63,8 @@ fn fork_identity_at_varied_cuts() {
     // Cut at the very start (nothing simulated before the snapshot),
     // mid-run, and far past completion (pending calendar empty).
     for cut in [0, 1, 500, 7_777, u64::MAX / 2] {
-        assert_eq!(want, forked(&c, &c, cut), "fork divergence at cut {cut}");
+        assert_eq!(want, forked(&c, cut), "fork divergence at cut {cut}");
     }
-}
-
-#[test]
-fn fork_identity_composes_with_shards() {
-    let mut one = tiny(SafetyModel::BorderControlBcc);
-    one.shards = 1;
-    let mut four = one.clone();
-    four.shards = 4;
-    let want = straight(&one);
-    assert_eq!(want, straight(&four), "sharding must not change reports");
-    // Snapshot serially, restore sharded — and the reverse.
-    assert_eq!(want, forked(&one, &four, 2_000));
-    assert_eq!(want, forked(&four, &one, 2_000));
 }
 
 #[test]
@@ -88,7 +73,7 @@ fn fork_identity_with_host_audit_and_downgrades() {
     c.host_activity = Some(bc_system::HostActivityConfig::default());
     c.audit = true;
     c.downgrades_per_second = 50_000;
-    assert_eq!(straight(&c), forked(&c, &c, 4_000));
+    assert_eq!(straight(&c), forked(&c, 4_000));
 }
 
 #[test]
@@ -101,7 +86,7 @@ fn fork_identity_with_malicious_hardware() {
         };
         assert_eq!(
             straight(&c),
-            forked(&c, &c, 2_500),
+            forked(&c, 2_500),
             "fork divergence for malicious hardware under {safety:?}"
         );
     }
@@ -111,11 +96,11 @@ fn fork_identity_with_malicious_hardware() {
 fn fork_identity_with_huge_pages() {
     let mut c = tiny(SafetyModel::BorderControlNoBcc);
     c.use_huge_pages = true;
-    assert_eq!(straight(&c), forked(&c, &c, 2_000));
+    assert_eq!(straight(&c), forked(&c, 2_000));
 }
 
 #[test]
-fn restore_rejects_foreign_configs_but_accepts_shard_changes() {
+fn restore_rejects_foreign_configs() {
     let c = tiny(SafetyModel::BorderControlBcc);
     let bytes = System::build(&c)
         .expect("builds")
@@ -135,10 +120,8 @@ fn restore_rejects_foreign_configs_but_accepts_shard_changes() {
         Err(RestoreError::ConfigMismatch)
     ));
 
-    // Shard count is normalized out of the identity key.
-    let mut sharded = c.clone();
-    sharded.shards = 3;
-    assert!(System::restore(&sharded, &bytes, REV, &LiveSynthesis).is_ok());
+    // The snapshotting config itself restores.
+    assert!(System::restore(&c, &bytes, REV, &LiveSynthesis).is_ok());
 }
 
 #[test]

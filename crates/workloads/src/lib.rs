@@ -168,8 +168,8 @@ pub struct WarpOp {
 
 /// A per-wavefront access stream.
 ///
-/// `Send` so a wavefront (and the compute unit that owns it) can live on a
-/// worker thread of the sharded engine.
+/// `Send` so a built machine holding its wavefronts' streams can be moved
+/// to a sweep worker thread.
 pub trait AccessStream: Send {
     /// Produces the next op, or `None` when the wavefront's work is done.
     fn next_op(&mut self) -> Option<WarpOp>;

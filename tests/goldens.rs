@@ -119,6 +119,35 @@ fn tiny_run_reports_match_goldens_through_warm_start() {
     }
 }
 
+/// The same ten configurations with the runtime invariant auditor on:
+/// every audited run must come back clean (a `shard-order` finding would
+/// mean a component sent below the executor's lookahead floor) and, with
+/// the audit block detached, byte-identical to its golden — auditing
+/// observes, it never moves a cycle.
+#[test]
+fn audited_runs_are_clean_and_match_goldens() {
+    if std::env::var_os("BLESS").is_some() {
+        return; // goldens may be mid-rewrite under the straight-run test
+    }
+    for safety in SafetyModel::ALL {
+        for workload in ["nn", "bfs"] {
+            let mut config = tiny(safety, workload);
+            config.audit = true;
+            let mut report = System::build(&config).expect("tiny config builds").run();
+            let audit = report.audit.take().expect("audited run attaches audit");
+            assert!(
+                audit.is_clean(),
+                "{}/{workload}: audit findings {:?}",
+                safety.label(),
+                audit.findings
+            );
+            assert!(audit.assertions > 0, "auditor must actually have run");
+            let name = format!("tiny_{}_{}.json", slug(safety.label()), workload);
+            check(&name, &report.to_json());
+        }
+    }
+}
+
 /// The goldens themselves stay well-formed JSON (brace balance and
 /// required keys) — catches hand edits that would break downstream
 /// tooling before a diff review does.
