@@ -30,7 +30,6 @@ fn committed_trajectories_validate() {
         "BENCH_flush.json",
         "BENCH_tenants.json",
         "BENCH_serve.json",
-        "BENCH_trace.json",
     ] {
         let path = root.join(name);
         assert!(path.exists(), "missing committed trajectory {name}");
@@ -40,7 +39,7 @@ fn committed_trajectories_validate() {
         }
         seen += 1;
     }
-    assert_eq!(seen, 5);
+    assert_eq!(seen, 4);
 }
 
 /// CI points `$BENCH_VALIDATE_EXTRA` (colon-separated paths) at the

@@ -16,10 +16,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The five MOESI states plus Invalid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceState {
     /// Not present.
     Invalid,
@@ -79,7 +77,7 @@ impl fmt::Display for CoherenceState {
 }
 
 /// Processor-side events presented to a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuEvent {
     /// Local load.
     Load,
@@ -90,7 +88,7 @@ pub enum CpuEvent {
 }
 
 /// Bus/directory-side events observed by a line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BusEvent {
     /// Another cache requested a shared copy.
     RemoteGetS,
@@ -102,7 +100,7 @@ pub enum BusEvent {
 }
 
 /// Actions the cache controller must perform as a result of a transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CoherenceAction {
     /// No external traffic needed.
     None,
@@ -130,7 +128,7 @@ pub enum CoherenceAction {
 /// assert_eq!(act, CoherenceAction::IssueGetS);
 /// assert_eq!(line.state(), CoherenceState::Exclusive);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MoesiLine {
     state: CoherenceState,
 }
@@ -270,44 +268,6 @@ impl MoesiLine {
 impl Default for MoesiLine {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Snapshot codec: one byte per line state.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{CoherenceState, MoesiLine};
-
-    impl Snap for CoherenceState {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                CoherenceState::Invalid => 0,
-                CoherenceState::Shared => 1,
-                CoherenceState::Exclusive => 2,
-                CoherenceState::Owned => 3,
-                CoherenceState::Modified => 4,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(CoherenceState::Invalid),
-                1 => Ok(CoherenceState::Shared),
-                2 => Ok(CoherenceState::Exclusive),
-                3 => Ok(CoherenceState::Owned),
-                4 => Ok(CoherenceState::Modified),
-                _ => Err(SnapError::BadValue("coherence state")),
-            }
-        }
-    }
-
-    impl Snap for MoesiLine {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.state);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(MoesiLine { state: r.snap()? })
-        }
     }
 }
 

@@ -146,49 +146,6 @@ impl MshrTable {
     }
 }
 
-/// Snapshot codec: the outstanding map (already sorted by block index)
-/// is the exact state; the completion-time index is derived and rebuilt.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-    use bc_sim::Cycle;
-
-    use super::MshrTable;
-
-    impl Snap for MshrTable {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"MSHR");
-            w.usize(self.capacity);
-            w.usize(self.outstanding.len());
-            for (&block, done) in &self.outstanding {
-                w.u64(block);
-                w.snap(done);
-            }
-            w.snap(&self.merges);
-            w.snap(&self.stalls);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"MSHR")?;
-            let capacity = r.usize()?;
-            if capacity == 0 {
-                return Err(SnapError::BadValue("MSHR capacity"));
-            }
-            let mut table = MshrTable::new(capacity);
-            let n = r.usize()?;
-            for _ in 0..n {
-                let block = r.u64()?;
-                let done: Option<Cycle> = r.snap()?;
-                if let Some(d) = done {
-                    table.by_done.insert((d, block), ());
-                }
-                table.outstanding.insert(block, done);
-            }
-            table.merges = r.snap()?;
-            table.stalls = r.snap()?;
-            Ok(table)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,15 +7,13 @@
 
 use std::collections::hash_map::Entry as MapEntry;
 
-use serde::{Deserialize, Serialize};
-
 use bc_mem::addr::{PhysAddr, Ppn};
 use bc_sim::fxmap::FxHashMap;
 use bc_sim::stats::{Counter, HitMiss};
 use bc_sim::SimRng;
 
 /// Kind of access presented to a cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Access {
     /// A load (or instruction fetch).
     Read,
@@ -32,7 +30,7 @@ impl Access {
 }
 
 /// Write handling policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WritePolicy {
     /// Write-back, write-allocate: stores dirty the line; misses allocate.
     /// Used for the GPU's shared L2 in the paper's system.
@@ -44,7 +42,7 @@ pub enum WritePolicy {
 }
 
 /// Replacement policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Replacement {
     /// True least-recently-used via a use clock.
     Lru,
@@ -53,7 +51,7 @@ pub enum Replacement {
 }
 
 /// Static cache geometry and policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -575,126 +573,6 @@ impl Cache {
     #[must_use]
     pub fn write_throughs(&self) -> u64 {
         self.write_throughs.get()
-    }
-}
-
-/// Snapshot codec: the tag store is serialized positionally (victim
-/// choice scans ways in order, so which way holds a line is behavioral),
-/// along with the use clock, replacement RNG and counters. The resident-
-/// page index, its armed flag and the spare lists are rebuild-on-demand
-/// amortization: a restored cache re-arms on its first selective flush
-/// and emits evictions in the same sorted-slot order either way.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{Cache, CacheConfig, Line, Replacement, WritePolicy};
-
-    impl Snap for WritePolicy {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                WritePolicy::WriteBack => 0,
-                WritePolicy::WriteThrough => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(WritePolicy::WriteBack),
-                1 => Ok(WritePolicy::WriteThrough),
-                _ => Err(SnapError::BadValue("write policy")),
-            }
-        }
-    }
-
-    impl Snap for Replacement {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                Replacement::Lru => 0,
-                Replacement::Random => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(Replacement::Lru),
-                1 => Ok(Replacement::Random),
-                _ => Err(SnapError::BadValue("replacement policy")),
-            }
-        }
-    }
-
-    impl Snap for CacheConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u64(self.size_bytes);
-            w.usize(self.ways);
-            w.u64(self.block_bytes);
-            w.snap(&self.write_policy);
-            w.snap(&self.replacement);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(CacheConfig {
-                size_bytes: r.u64()?,
-                ways: r.usize()?,
-                block_bytes: r.u64()?,
-                write_policy: r.snap()?,
-                replacement: r.snap()?,
-            })
-        }
-    }
-
-    impl Snap for Cache {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"CACH");
-            w.snap(&self.config);
-            for line in &self.lines {
-                w.bool(line.valid);
-                if line.valid {
-                    w.u64(line.tag);
-                    w.bool(line.dirty);
-                    w.u64(line.last_use);
-                }
-            }
-            w.u64(self.clock);
-            w.snap(&self.rng);
-            w.snap(&self.stats);
-            w.snap(&self.writebacks);
-            w.snap(&self.write_throughs);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"CACH")?;
-            let config: CacheConfig = r.snap()?;
-            if config.ways == 0
-                || config.block_bytes == 0
-                || config.size_bytes / config.block_bytes < config.ways as u64
-                || !((config.size_bytes / config.block_bytes) / config.ways as u64)
-                    .is_power_of_two()
-            {
-                return Err(SnapError::BadValue("cache geometry"));
-            }
-            let mut cache = Cache::new(config);
-            let mut valid_count = 0usize;
-            let mut dirty_count = 0usize;
-            for line in cache.lines.iter_mut() {
-                if r.bool()? {
-                    *line = Line {
-                        tag: r.u64()?,
-                        valid: true,
-                        dirty: r.bool()?,
-                        last_use: r.u64()?,
-                    };
-                    valid_count += 1;
-                    if line.dirty {
-                        dirty_count += 1;
-                    }
-                }
-            }
-            cache.valid_count = valid_count;
-            cache.dirty_count = dirty_count;
-            cache.clock = r.u64()?;
-            cache.rng = r.snap()?;
-            cache.stats = r.snap()?;
-            cache.writebacks = r.snap()?;
-            cache.write_throughs = r.snap()?;
-            Ok(cache)
-        }
     }
 }
 

@@ -8,15 +8,13 @@
 //! requests made with stale translations" (§2.1). The buggy-accelerator
 //! model simply skips calling [`Tlb::invalidate`]/[`Tlb::flush_asid`].
 
-use serde::{Deserialize, Serialize};
-
 use bc_mem::addr::{Asid, PageSize, Ppn, Vpn};
 use bc_mem::perms::PagePerms;
 use bc_sim::fxmap::FxHashMap;
 use bc_sim::stats::HitMiss;
 
 /// TLB geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Total 4 KiB entries.
     pub entries: usize,
@@ -51,7 +49,7 @@ impl TlbConfig {
 }
 
 /// One cached translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbEntry {
     /// Address space the translation belongs to.
     pub asid: Asid,
@@ -348,111 +346,6 @@ impl Tlb {
     #[must_use]
     pub fn stats(&self) -> HitMiss {
         self.stats
-    }
-}
-
-/// Snapshot codec: both slot arrays are serialized positionally (victim
-/// choice takes the first invalid way, so slot positions are
-/// behavioral); the point-lookup index is derived and rebuilt on load.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{key_of, Slot, Tlb, TlbConfig, TlbEntry};
-
-    impl Snap for TlbConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.usize(self.entries);
-            w.usize(self.ways);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(TlbConfig {
-                entries: r.usize()?,
-                ways: r.usize()?,
-            })
-        }
-    }
-
-    impl Snap for TlbEntry {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.asid);
-            w.snap(&self.vpn);
-            w.snap(&self.ppn);
-            w.snap(&self.perms);
-            w.snap(&self.size);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(TlbEntry {
-                asid: r.snap()?,
-                vpn: r.snap()?,
-                ppn: r.snap()?,
-                perms: r.snap()?,
-                size: r.snap()?,
-            })
-        }
-    }
-
-    fn save_slot(slot: &Slot, w: &mut SnapWriter) {
-        w.bool(slot.valid);
-        if slot.valid {
-            w.snap(&slot.entry);
-            w.u64(slot.last_use);
-        }
-    }
-
-    fn load_slot(r: &mut SnapReader<'_>) -> Result<Slot, SnapError> {
-        if r.bool()? {
-            Ok(Slot {
-                entry: r.snap()?,
-                last_use: r.u64()?,
-                valid: true,
-            })
-        } else {
-            Ok(Slot::EMPTY)
-        }
-    }
-
-    impl Snap for Tlb {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"TLB0");
-            w.snap(&self.config);
-            for slot in self.slots.iter() {
-                save_slot(slot, w);
-            }
-            for slot in &self.huge {
-                save_slot(slot, w);
-            }
-            w.u64(self.clock);
-            w.snap(&self.stats);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"TLB0")?;
-            let config: TlbConfig = r.snap()?;
-            if config.ways == 0
-                || config.entries < config.ways
-                || !(config.entries / config.ways).is_power_of_two()
-            {
-                return Err(SnapError::BadValue("TLB geometry"));
-            }
-            let mut tlb = Tlb::new(config);
-            for i in 0..tlb.slots.len() {
-                let slot = load_slot(r)?;
-                if slot.valid {
-                    tlb.index
-                        .insert(key_of(slot.entry.asid, slot.entry.vpn), i as u32);
-                }
-                tlb.slots[i] = slot;
-            }
-            for i in 0..TlbConfig::HUGE_SLOTS {
-                let slot = load_slot(r)?;
-                if slot.valid {
-                    tlb.huge_valid += 1;
-                }
-                tlb.huge[i] = slot;
-            }
-            tlb.clock = r.u64()?;
-            tlb.stats = r.snap()?;
-            Ok(tlb)
-        }
     }
 }
 

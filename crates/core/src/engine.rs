@@ -1,8 +1,6 @@
 //! The Border Control engine: the hardware at the untrusted-to-trusted
 //! border, implementing the event flows of the paper's Figure 3.
 
-use serde::{Deserialize, Serialize};
-
 use bc_cache::tlb::TlbEntry;
 use bc_mem::addr::{Asid, Ppn};
 use bc_mem::dram::Dram;
@@ -23,7 +21,7 @@ use crate::table::ProtectionTable;
 /// flush everything — "if the entire accelerator cache is flushed, the
 /// Protection Table can be zeroed and the BCC and accelerator TLB can be
 /// invalidated" — or selectively flush only the affected page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FlushPolicy {
     /// Flush all accelerator caches, zero the Protection Table, invalidate
     /// the BCC and accelerator TLB. This is the implementation the paper
@@ -59,7 +57,7 @@ impl FlushPolicy {
 }
 
 /// Border Control configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BorderControlConfig {
     /// BCC geometry; `None` gives the Border Control-noBCC configuration
     /// of Table 2 (every check reads the Protection Table in memory).
@@ -604,87 +602,6 @@ impl BorderControl {
             t.push_pct("BCC miss ratio", hm.miss_ratio());
         }
         t
-    }
-}
-
-/// Snapshot codec: everything an engine holds is exact state — registers,
-/// BCC contents, use counts, port calendar, counters, and any recorded
-/// border-crossing stream.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{BorderControl, BorderControlConfig, FlushPolicy};
-
-    impl Snap for FlushPolicy {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                FlushPolicy::FullFlush => 0,
-                FlushPolicy::Selective => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(FlushPolicy::FullFlush),
-                1 => Ok(FlushPolicy::Selective),
-                _ => Err(SnapError::BadValue("flush policy")),
-            }
-        }
-    }
-
-    impl Snap for BorderControlConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.bcc);
-            w.bool(self.parallel_read_check);
-            w.snap(&self.flush_policy);
-            w.u64(self.check_occupancy);
-            w.bool(self.record_stream);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(BorderControlConfig {
-                bcc: r.snap()?,
-                parallel_read_check: r.bool()?,
-                flush_policy: r.snap()?,
-                check_occupancy: r.u64()?,
-                record_stream: r.bool()?,
-            })
-        }
-    }
-
-    impl Snap for BorderControl {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"BCTL");
-            w.u32(self.accel_id);
-            w.snap(&self.config);
-            w.snap(&self.table);
-            w.u64(self.table_pages);
-            w.snap(&self.bcc);
-            w.snap(&self.attached);
-            w.snap(&self.check_port);
-            w.snap(&self.checks);
-            w.snap(&self.violations);
-            w.snap(&self.pt_reads);
-            w.snap(&self.pt_writes);
-            w.snap(&self.insertions);
-            w.snap(&self.stream);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"BCTL")?;
-            Ok(BorderControl {
-                accel_id: r.u32()?,
-                config: r.snap()?,
-                table: r.snap()?,
-                table_pages: r.u64()?,
-                bcc: r.snap()?,
-                attached: r.snap()?,
-                check_port: r.snap()?,
-                checks: r.snap()?,
-                violations: r.snap()?,
-                pt_reads: r.snap()?,
-                pt_writes: r.snap()?,
-                insertions: r.snap()?,
-                stream: r.snap()?,
-            })
-        }
     }
 }
 

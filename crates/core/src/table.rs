@@ -199,27 +199,6 @@ impl ProtectionTable {
     }
 }
 
-/// Snapshot codec: the table is just its two registers — the permission
-/// bits themselves live in [`PhysMemStore`], which snapshots separately.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::ProtectionTable;
-
-    impl Snap for ProtectionTable {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.base);
-            w.u64(self.bounds_pages);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(ProtectionTable {
-                base: r.snap()?,
-                bounds_pages: r.u64()?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 // bc-lint: allow(float) — assertions on summary ratios only.
 mod tests {

@@ -5,7 +5,7 @@
 //! paper's OS actually does on the first violation). The ten cells are
 //! independent on the parallel sweep engine.
 //!
-//! Usage: `attacks [--size tiny|small|reference] [--jobs N] [--audit]`
+//! Usage: `attacks [--size tiny|small|reference] [--jobs N] [--audit] [--cache-dir PATH]`
 
 use bc_experiments::{matrices, print_matrix, size_from_args, SweepOptions};
 use bc_system::{RunReport, SafetyModel};

@@ -9,7 +9,7 @@
 //! overhead stays negligible even with coherence traffic in flight.
 //! The 2 safety × 3 workload cells run on the parallel sweep engine.
 //!
-//! Usage: `cpu_coherence [--size tiny|small|reference] [--jobs N]`
+//! Usage: `cpu_coherence [--size tiny|small|reference] [--jobs N] [--cache-dir PATH]`
 
 use bc_experiments::matrices::{self, CPU_COHERENCE_WORKLOADS};
 use bc_experiments::{pct, print_matrix, size_from_args, SweepOptions};

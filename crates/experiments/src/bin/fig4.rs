@@ -5,12 +5,10 @@
 //! independent simulations, so they run on the parallel sweep engine.
 //!
 //! Usage: `fig4 [--size tiny|small|reference] [--gpu highly|moderate|both]
-//!              [--jobs N] [--csv] [--trace-dir PATH]
-//!              [--warm-start CYCLE [--warm-dir PATH]]`
+//!              [--jobs N] [--csv] [--cache-dir PATH]`
 //!
-//! `--trace-dir` replays compiled access traces and `--warm-start`
-//! restores per-cell simulator checkpoints; both only cut wall-clock —
-//! the printed figure is byte-identical either way.
+//! `--cache-dir` serves every cell already in the result store instead
+//! of simulating it; the printed figure is byte-identical either way.
 
 use bc_experiments::matrices::{self, FIG4_SAFETIES};
 use bc_experiments::{

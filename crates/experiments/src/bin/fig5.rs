@@ -2,7 +2,7 @@
 //! the highly threaded GPU. The seven workload runs are independent, so
 //! they go through the parallel sweep engine.
 //!
-//! Usage: `fig5 [--size tiny|small|reference] [--jobs N]`
+//! Usage: `fig5 [--size tiny|small|reference] [--jobs N] [--cache-dir PATH]`
 
 // bc-lint: allow-file(float) — mean requests-per-cycle label for the figure; summary output only.
 use bc_experiments::{matrices, print_matrix, size_from_args, SweepOptions, WORKLOADS};

@@ -8,7 +8,7 @@
 //! 7 rates × 2 safeties × 2 GPUs × 7 workloads = 196 independent cells on
 //! the parallel sweep engine (the rate-0 slice doubles as the baselines).
 //!
-//! Usage: `fig7 [--size tiny|small|reference] [--jobs N] [--csv]`
+//! Usage: `fig7 [--size tiny|small|reference] [--jobs N] [--csv] [--cache-dir PATH]`
 
 // bc-lint: allow-file(float) — overhead-ratio labels for the figure; summary output only.
 use bc_experiments::matrices::{self, FIG4_GPUS, FIG7_DENSITY_SCALE, FIG7_RATES, FIG7_SAFETIES};

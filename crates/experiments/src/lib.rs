@@ -21,15 +21,15 @@
 //! print aligned text tables to stdout. Reference size reproduces the
 //! paper-shape numbers recorded in `EXPERIMENTS.md`; smaller sizes are for
 //! quick smoke runs. Sweep binaries also accept `--jobs N` (cells run
-//! concurrently), `--audit` (runtime invariant auditor), `--trace-dir
-//! PATH` (replay compiled access traces instead of re-synthesizing them) and
-//! `--warm-start CYCLE` with optional `--warm-dir PATH` (restore each
-//! cell from a simulator checkpoint instead of re-running its warmup
-//! prefix); none of them changes a single report byte.
+//! concurrently), `--audit` (runtime invariant auditor) and `--cache-dir
+//! PATH` (serve each cell from the result store [`cas`] when it holds
+//! the cell's report, simulating and filing it otherwise); none of them
+//! changes a single report byte.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cas;
 pub mod matrices;
 pub mod schema;
 pub mod sweep;
@@ -40,7 +40,6 @@ use bc_workloads::WorkloadSize;
 
 pub use sweep::{
     cell_seed, run_cells_with, CellOutcome, SweepCell, SweepMatrix, SweepOptions, SweepResults,
-    WarmStart,
 };
 
 /// The seven workloads in Figure 4's x-axis order.
@@ -113,61 +112,25 @@ pub fn jobs_from_args() -> usize {
     }
 }
 
-/// Parses `--trace-dir PATH` from argv: a [`bc_trace::TraceDir`] every
-/// sweep cell then replays its wavefront access streams from, compiling
-/// and persisting any trace missing from the directory on first use.
-/// Replay is byte-identical to inline generator synthesis (pinned by
-/// `bc-trace`'s proptests), so the flag changes wall-clock only — the
-/// win is that a reference-size stream is *generated* once per content
-/// key and *replayed* by every (safety × GPU × override) cell sharing
-/// it, and by every later sweep over the same directory. An unopenable
-/// directory warns and falls back to live synthesis.
+/// Opens the result store named by `--cache-dir PATH`, if any: every
+/// [`SweepMatrix::run`] cell is then served from it on a hit and filed
+/// into it on a miss ([`cas::Cas::memo`]). The directory is the one
+/// `bc-serve --cache-dir` uses, so either fills it for the other. An
+/// unopenable directory warns and the sweep simulates every cell.
 #[must_use]
-pub fn trace_dir_from_args() -> Option<std::sync::Arc<dyn bc_workloads::StreamSource>> {
+pub fn cache_from_args() -> Option<std::sync::Arc<cas::Cas>> {
     let args: Vec<String> = std::env::args().collect();
     let path = args
         .windows(2)
-        .find(|w| w[0] == "--trace-dir")
+        .find(|w| w[0] == "--cache-dir")
         .map(|w| w[1].clone())?;
-    match bc_trace::TraceDir::open(&path) {
-        Ok(dir) => Some(std::sync::Arc::new(dir)),
+    match cas::Cas::open(&path) {
+        Ok(cas) => Some(std::sync::Arc::new(cas)),
         Err(e) => {
-            eprintln!("cannot open --trace-dir '{path}': {e}; using live synthesis");
+            eprintln!("cannot open --cache-dir '{path}': {e}; simulating every cell");
             None
         }
     }
-}
-
-/// Parses `--warm-start CYCLE` (and optional `--warm-dir PATH`) from
-/// argv into a [`WarmStart`]: every sweep cell then restores a simulator
-/// checkpoint cut at `CYCLE` instead of re-simulating its warmup prefix,
-/// publishing the checkpoint on first miss. Checkpoints are keyed by
-/// `sha256(CODE_REV ‖ warm_key(config) ‖ CYCLE)` so a simulator revision
-/// bump or any config change misses cleanly.
-/// Reports are byte-identical with or without the flag (`bc-system`'s
-/// fork-identity suite). `--warm-dir` defaults to `bc-warm-cache` under
-/// the system temp directory so successive sweeps on one machine share
-/// checkpoints.
-#[must_use]
-pub fn warm_start_from_args() -> Option<WarmStart> {
-    let args: Vec<String> = std::env::args().collect();
-    let raw = args
-        .windows(2)
-        .find(|w| w[0] == "--warm-start")
-        .map(|w| w[1].clone())?;
-    let cut = match raw.parse::<u64>() {
-        Ok(cut) => cut,
-        Err(_) => {
-            eprintln!("invalid --warm-start '{raw}', ignoring warm-start");
-            return None;
-        }
-    };
-    let dir = args
-        .windows(2)
-        .find(|w| w[0] == "--warm-dir")
-        .map(|w| std::path::PathBuf::from(&w[1]))
-        .unwrap_or_else(|| std::env::temp_dir().join("bc-warm-cache"));
-    Some(WarmStart { dir, cut })
 }
 
 /// A baseline configuration for one (workload, GPU class, size) cell.

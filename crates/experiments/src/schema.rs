@@ -354,44 +354,44 @@ impl<'a> Obj<'a> {
     }
 
     fn u64(&mut self, key: &'static str) -> Result<u64, SchemaError> {
-        let path = self.field_path(key);
-        self.get(key)?.as_u64().ok_or(SchemaError::WrongType {
-            field: path,
+        let value = self.get(key)?;
+        value.as_u64().ok_or_else(|| SchemaError::WrongType {
+            field: self.field_path(key),
             want: "an unsigned integer",
         })
     }
 
     fn usize(&mut self, key: &'static str) -> Result<usize, SchemaError> {
-        let path = self.field_path(key);
-        self.get(key)?
+        let value = self.get(key)?;
+        value
             .as_u64()
             .and_then(|n| usize::try_from(n).ok())
-            .ok_or(SchemaError::WrongType {
-                field: path,
+            .ok_or_else(|| SchemaError::WrongType {
+                field: self.field_path(key),
                 want: "an unsigned integer",
             })
     }
 
     fn f64(&mut self, key: &'static str) -> Result<f64, SchemaError> {
-        let path = self.field_path(key);
-        self.get(key)?.as_f64().ok_or(SchemaError::WrongType {
-            field: path,
+        let value = self.get(key)?;
+        value.as_f64().ok_or_else(|| SchemaError::WrongType {
+            field: self.field_path(key),
             want: "a finite number",
         })
     }
 
     fn bool(&mut self, key: &'static str) -> Result<bool, SchemaError> {
-        let path = self.field_path(key);
-        self.get(key)?.as_bool().ok_or(SchemaError::WrongType {
-            field: path,
+        let value = self.get(key)?;
+        value.as_bool().ok_or_else(|| SchemaError::WrongType {
+            field: self.field_path(key),
             want: "a boolean",
         })
     }
 
     fn str(&mut self, key: &'static str) -> Result<&'a str, SchemaError> {
-        let path = self.field_path(key);
-        self.get(key)?.as_str().ok_or(SchemaError::WrongType {
-            field: path,
+        let value = self.get(key)?;
+        value.as_str().ok_or_else(|| SchemaError::WrongType {
+            field: self.field_path(key),
             want: "a string",
         })
     }
@@ -411,12 +411,12 @@ impl<'a> Obj<'a> {
 
     /// `[a, b]` of unsigned integers.
     fn u64_pair(&mut self, key: &'static str) -> Result<(u64, u64), SchemaError> {
-        let path = self.field_path(key);
+        let value = self.get(key)?;
         let err = || SchemaError::WrongType {
-            field: path.clone(),
+            field: self.field_path(key),
             want: "a pair of unsigned integers",
         };
-        match self.get(key)? {
+        match value {
             Value::Array(items) if items.len() == 2 => {
                 let a = items[0].as_u64().ok_or_else(err)?;
                 let b = items[1].as_u64().ok_or_else(err)?;
@@ -676,7 +676,7 @@ fn decode_hot_profile(v: &Value) -> Result<HotProfile, SchemaError> {
 
 /// Decodes a serialized report ([`RunReport::to_json`] / the golden
 /// snapshot format) back into a [`RunReport`]. The `violations` vector is
-/// not serialized (`#[serde(skip)]` in the struct) and decodes empty;
+/// not serialized ([`RunReport::to_json`] omits it) and decodes empty;
 /// `violation_count` carries the count.
 pub fn decode_report(text: &str) -> Result<RunReport, SchemaError> {
     let value = json::parse(text)?;

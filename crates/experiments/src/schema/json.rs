@@ -3,9 +3,8 @@
 // surfaced via f64 on demand; integers re-parse from the source token,
 // never through a float.
 //!
-//! The vendored `serde` stand-in has no real JSON support (see
-//! `vendor/README.md`), so the schema codec parses its own. Two
-//! properties matter more than generality:
+//! The workspace builds without registry crates, so the schema codec
+//! parses its own JSON. Two properties matter more than generality:
 //!
 //! * **integers stay exact** — [`Value::Number`] keeps the source token
 //!   and re-parses it as `u64`/`i64`/`f64` on demand, so a 64-bit seed
@@ -270,13 +269,17 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 is copied through verbatim.
+                    // Copy the run up to the next quote, escape or control
+                    // byte. Those are ASCII, so the run ends on a char
+                    // boundary and multi-byte UTF-8 is copied verbatim.
+                    // Validating only the run keeps a string linear.
                     let start = self.pos;
-                    let text = std::str::from_utf8(&self.bytes[start..])
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = text.chars().next().ok_or_else(|| self.err("empty slice"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -379,6 +382,9 @@ mod tests {
     fn unicode_escapes_decode() {
         let v = parse("\"a\\u0009b\\u00e9\"").expect("parses");
         assert_eq!(v.as_str(), Some("a\tb\u{e9}"));
+        // Raw multi-byte UTF-8 around an escape copies through verbatim.
+        let v = parse("\"é→\\nß\"").expect("parses");
+        assert_eq!(v.as_str(), Some("é→\nß"));
     }
 
     #[test]

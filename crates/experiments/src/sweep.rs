@@ -28,11 +28,10 @@
 //! `Fn(&SweepCell) -> Result<T, String>` runner — figure 6 uses it to
 //! capture and replay check streams), and [`SweepMatrix::run`] is the
 //! common case that builds and runs each cell's `System` into a
-//! [`RunReport`].
+//! [`RunReport`], memoized through the result store ([`crate::cas`]) when
+//! one is configured.
 
-use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 // bc-lint: allow(wall-clock) — wall time feeds only the operator-facing summary
@@ -40,12 +39,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bc_sim::stats::{Histogram, StatsTable};
-use bc_sim::Cycle;
-use bc_system::{warm_key, AbortReason, GpuClass, RunReport, SafetyModel, System, SystemConfig};
-use bc_workloads::{LiveSynthesis, StreamSource, WorkloadSize};
+use bc_system::{AbortReason, GpuClass, RunReport, SafetyModel, System, SystemConfig};
+use bc_workloads::WorkloadSize;
 
 use crate::base_config;
-use crate::schema::CODE_REV;
+use crate::cas::Cas;
 
 /// A named mutation applied to one slice of the override axis.
 type OverrideFn = Arc<dyn Fn(&mut SystemConfig) + Send + Sync>;
@@ -75,58 +73,18 @@ pub struct CellOutcome<T> {
     pub wall: Duration,
 }
 
-/// Warm-start configuration: a directory of simulator checkpoints and the
-/// cycle the warmup prefix runs to.
-///
-/// The checkpoint protocol ([`SweepMatrix::run`]): each cell's key is
-/// `sha256(CODE_REV ‖ warm_key(config) ‖ cut)` — the same config
-/// identity [`System::restore`] enforces, wrapped with the simulator
-/// revision so a code change invalidates every checkpoint at once. A hit
-/// restores the snapshot and simulates only the tail past `cut`; a miss
-/// runs the prefix, publishes the snapshot (temp file + rename, so
-/// concurrent sweeps racing on one key both win), **then restores from
-/// those same bytes** and finishes — producer and consumer go through
-/// identical restore machinery, so fork identity holds by construction
-/// and cold/warm reports cannot diverge. A stale or corrupt checkpoint is
-/// treated as a miss and overwritten; an unwritable directory only costs
-/// the speedup.
-#[derive(Debug, Clone)]
-pub struct WarmStart {
-    /// Directory the checkpoints live in (created on first use).
-    pub dir: PathBuf,
-    /// Cycle the warmup prefix runs to before the snapshot is cut.
-    pub cut: u64,
-}
-
 /// Scheduling options for one sweep.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SweepOptions {
     /// Worker threads (≥ 1). [`SweepOptions::default`] uses
     /// `--jobs`/available parallelism via [`crate::jobs_from_args`].
     pub jobs: usize,
     /// Emit `[k/n] label (wall)` progress lines to stderr as cells finish.
     pub progress: bool,
-    /// Where every cell's wavefront access streams come from: `None` is
-    /// inline generator synthesis; `Some` is typically a
-    /// [`bc_trace::TraceDir`] replaying compiled traces (byte-identical
-    /// reports either way — replay identity is pinned by `bc-trace`'s
-    /// proptests). [`SweepOptions::default`] wires `--trace-dir`.
-    pub source: Option<Arc<dyn StreamSource>>,
-    /// Snapshot/warm-start checkpointing, or `None` to simulate every
-    /// cell from cycle zero. [`SweepOptions::default`] wires
-    /// `--warm-start` / `--warm-dir`.
-    pub warm_start: Option<WarmStart>,
-}
-
-impl std::fmt::Debug for SweepOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SweepOptions")
-            .field("jobs", &self.jobs)
-            .field("progress", &self.progress)
-            .field("source", &self.source.as_ref().map(|s| s.label()))
-            .field("warm_start", &self.warm_start)
-            .finish()
-    }
+    /// Result store [`SweepMatrix::run`] memoizes cells through, or
+    /// `None` to simulate every cell. [`SweepOptions::default`] opens it
+    /// from `--cache-dir PATH`.
+    pub cache: Option<Arc<Cas>>,
 }
 
 impl Default for SweepOptions {
@@ -134,40 +92,21 @@ impl Default for SweepOptions {
         SweepOptions {
             jobs: crate::jobs_from_args(),
             progress: true,
-            source: crate::trace_dir_from_args(),
-            warm_start: crate::warm_start_from_args(),
+            cache: crate::cache_from_args(),
         }
     }
 }
 
 impl SweepOptions {
     /// Quiet options with an explicit worker count (used by tests and
-    /// benches): live synthesis, no warm-start.
+    /// benches) and no result store.
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
         SweepOptions {
             jobs,
             progress: false,
-            source: None,
-            warm_start: None,
+            cache: None,
         }
-    }
-
-    /// Replaces the stream source (builder style).
-    #[must_use]
-    pub fn source(mut self, source: Arc<dyn StreamSource>) -> Self {
-        self.source = Some(source);
-        self
-    }
-
-    /// Enables warm-start checkpointing (builder style).
-    #[must_use]
-    pub fn warm_start(mut self, dir: impl Into<PathBuf>, cut: u64) -> Self {
-        self.warm_start = Some(WarmStart {
-            dir: dir.into(),
-            cut,
-        });
-        self
     }
 }
 
@@ -323,113 +262,41 @@ impl SweepMatrix {
     /// Runs every cell on `opts.jobs` workers, collecting reports in
     /// matrix order.
     ///
-    /// The cell runner honours `opts.source` (compiled-trace replay) and
-    /// `opts.warm_start` (checkpoint restore — see [`WarmStart`]); both
-    /// are pure wall-clock accelerations that leave every report byte
-    /// unchanged (`warm_start_sweep_is_byte_identical` below and
-    /// `bc-system`'s fork-identity suite prove it).
+    /// With `opts.cache` set, each cell goes through [`Cas::memo`] under
+    /// the [`Cas::key_for`] key of its config: a hit decodes the stored
+    /// report, a miss simulates and files it. Either way the report is the one the
+    /// simulation produces (`cache_hits_are_byte_identical` below).
     #[must_use]
     pub fn run(&self, opts: &SweepOptions) -> SweepResults {
         let cells = self.cells();
         let started = Instant::now(); // bc-lint: allow(wall-clock) — sweep throughput metric only
-        let live = LiveSynthesis;
-        let source: &dyn StreamSource = opts.source.as_deref().unwrap_or(&live);
-        let warm_hits = AtomicU64::new(0);
-        let warm_misses = AtomicU64::new(0);
+        let cache_hits = AtomicU64::new(0);
+        let cache_misses = AtomicU64::new(0);
         let outcomes = run_cells_with(&cells, opts, |cell| {
-            run_cell(
-                cell,
-                source,
-                opts.warm_start.as_ref(),
-                &warm_hits,
-                &warm_misses,
-            )
+            let simulate = || {
+                System::build(&cell.config)
+                    .map(|mut system| system.run())
+                    .map_err(|e| format!("build failed: {e}"))
+            };
+            let Some(cas) = &opts.cache else {
+                return simulate();
+            };
+            let memo = cas.memo(&Cas::key_for(&cell.config), simulate)?;
+            let counter = if memo.hit { &cache_hits } else { &cache_misses };
+            counter.fetch_add(1, Ordering::Relaxed);
+            Ok(memo.report)
         });
         SweepResults {
             dims: self.dims(),
             outcomes,
             jobs: opts.jobs,
             total_wall: started.elapsed(),
-            warm_hits: warm_hits.into_inner(),
-            warm_misses: warm_misses.into_inner(),
+            cache: opts
+                .cache
+                .as_ref()
+                .map(|_| (cache_hits.into_inner(), cache_misses.into_inner())),
         }
     }
-}
-
-/// Checkpoint file name for one cell: the simulator revision, the
-/// config identity and the cut, hashed so the name is
-/// filesystem-safe and leaks nothing.
-fn checkpoint_path(dir: &Path, config: &SystemConfig, cut: u64) -> PathBuf {
-    let material = format!("{CODE_REV}\u{0}{}\u{0}{cut}", warm_key(config));
-    dir.join(format!(
-        "{}.bcws",
-        bc_sim::sha256::hex_digest(material.as_bytes())
-    ))
-}
-
-/// Runs one cell: straight through, or via the warm-start checkpoint
-/// protocol when `warm` is set (see [`WarmStart`] for the contract).
-fn run_cell(
-    cell: &SweepCell,
-    source: &dyn StreamSource,
-    warm: Option<&WarmStart>,
-    warm_hits: &AtomicU64,
-    warm_misses: &AtomicU64,
-) -> Result<RunReport, String> {
-    let Some(warm) = warm else {
-        return System::build_with_source(&cell.config, source)
-            .map(|mut system| system.run())
-            .map_err(|e| format!("build failed: {e}"));
-    };
-
-    let path = checkpoint_path(&warm.dir, &cell.config, warm.cut);
-    if let Ok(bytes) = std::fs::read(&path) {
-        // A checkpoint that fails to restore (stale revision, foreign
-        // config after a hash collision, torn bytes) is just a miss: fall
-        // through, recompute, overwrite.
-        if let Ok(mut system) = System::restore(&cell.config, &bytes, CODE_REV, source) {
-            warm_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(system.run());
-        }
-    }
-    warm_misses.fetch_add(1, Ordering::Relaxed);
-
-    let mut system = System::build_with_source(&cell.config, source)
-        .map_err(|e| format!("build failed: {e}"))?;
-    let bytes = system.snapshot_to(Cycle::new(warm.cut), CODE_REV);
-    // Publish best-effort: an unwritable checkpoint dir only loses the
-    // speedup for the next sweep, never the run.
-    if let Err(e) = publish_checkpoint(&warm.dir, &path, &bytes) {
-        eprintln!(
-            "warm-start: could not write checkpoint for '{}': {e}",
-            cell.label
-        );
-    }
-    // Finish through the same restore machinery a hit uses, so cold and
-    // warm cells are literally the same code path after the cut.
-    System::restore(&cell.config, &bytes, CODE_REV, source)
-        .map(|mut system| system.run())
-        .map_err(|e| format!("restore of freshly cut snapshot failed: {e}"))
-}
-
-/// Atomically publishes checkpoint `bytes` at `path` via a unique temp
-/// file plus rename, so concurrent sweeps racing on one key never observe
-/// a half-written snapshot.
-fn publish_checkpoint(dir: &Path, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "checkpoint".to_string());
-    // The PID only uniquifies a temp file name; it never reaches
-    // simulation state or the published bytes.
-    let tmp = dir.join(format!(".tmp.{}.{name}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
 }
 
 /// Derives a cell seed from the matrix seed and cell coordinates alone
@@ -532,10 +399,9 @@ pub struct SweepResults {
     pub jobs: usize,
     /// Wall time of the whole sweep.
     pub total_wall: Duration,
-    /// Cells served from a warm-start checkpoint (0 without warm-start).
-    pub warm_hits: u64,
-    /// Cells that ran their warmup prefix and published a checkpoint.
-    pub warm_misses: u64,
+    /// `(hits, misses)` against the result store, or `None` when the
+    /// sweep ran without one.
+    pub cache: Option<(u64, u64)>,
 }
 
 impl SweepResults {
@@ -630,9 +496,9 @@ impl SweepResults {
             t.push("audit assertions", assertions);
             t.push("audit findings", findings);
         }
-        if self.warm_hits + self.warm_misses > 0 {
-            t.push("warm-start hits", self.warm_hits);
-            t.push("warm-start misses", self.warm_misses);
+        if let Some((hits, misses)) = self.cache {
+            t.push("cache hits", hits);
+            t.push("cache misses", misses);
         }
         t.push_f64("sweep wall (s)", total_secs);
         t.push_f64(
@@ -801,73 +667,42 @@ mod tests {
     }
 
     #[test]
-    fn trace_replay_sweep_is_byte_identical_to_live() {
-        let m = tiny_matrix();
-        let live = m.run(&SweepOptions::with_jobs(2));
-        let dir = scratch_dir("trace");
-        let source = Arc::new(bc_trace::TraceDir::open(&dir).expect("trace dir opens"));
-        let traced = m.run(&SweepOptions::with_jobs(2).source(source.clone()));
-        assert_eq!(report_bytes(&live), report_bytes(&traced));
-        let stats = source.stats();
-        assert_eq!(stats.fallbacks, 0, "replay must not fall back: {stats:?}");
-        assert!(stats.compiles > 0, "first sweep compiles traces");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warm_start_sweep_is_byte_identical_and_caches() {
+    fn cache_hits_are_byte_identical() {
         let m = tiny_matrix();
         let plain = m.run(&SweepOptions::with_jobs(2));
-        assert_eq!(plain.warm_hits + plain.warm_misses, 0);
+        assert_eq!(plain.cache, None);
 
-        let dir = scratch_dir("warm");
-        let opts = SweepOptions::with_jobs(2).warm_start(&dir, 2_000);
+        let dir = scratch_dir("cache");
+        let cas = Arc::new(Cas::open(&dir).expect("store opens"));
+        let opts = SweepOptions {
+            cache: Some(Arc::clone(&cas)),
+            ..SweepOptions::with_jobs(2)
+        };
         let cold = m.run(&opts);
-        assert_eq!(cold.warm_misses, 4, "first pass publishes every cell");
-        assert_eq!(cold.warm_hits, 0);
+        assert_eq!(cold.cache, Some((0, 4)), "first pass simulates every cell");
+        assert_eq!(cas.stats().puts, 4, "and files every cell");
         assert_eq!(report_bytes(&plain), report_bytes(&cold));
 
         let warm = m.run(&opts);
-        assert_eq!(warm.warm_hits, 4, "second pass restores every cell");
-        assert_eq!(warm.warm_misses, 0);
+        assert_eq!(warm.cache, Some((4, 0)), "second pass hits every cell");
         assert_eq!(report_bytes(&plain), report_bytes(&warm));
         let summary = warm.summary().to_string();
-        assert!(summary.contains("warm-start hits"));
+        assert!(summary.contains("cache hits"));
 
-        // A corrupt checkpoint is a miss, not a failure: truncate one.
-        let entry = std::fs::read_dir(&dir)
-            .expect("warm dir")
-            .next()
-            .expect("has a checkpoint")
-            .expect("dir entry");
-        let bytes = std::fs::read(entry.path()).expect("checkpoint reads");
-        std::fs::write(entry.path(), &bytes[..bytes.len() / 2]).expect("truncates");
+        // A torn object and a digest-valid one that is not a report are
+        // both misses: recomputed, never served, and re-filed.
+        let keys: Vec<String> = m.cells().iter().map(|c| Cas::key_for(&c.config)).collect();
+        let torn = dir.join(&keys[0]);
+        let bytes = std::fs::read(&torn).expect("object reads");
+        std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("truncates");
+        cas.put(&keys[1], "{\"not\": \"a report\"}").expect("put");
+        let before = cas.stats();
         let healed = m.run(&opts);
-        assert_eq!(healed.warm_hits, 3);
-        assert_eq!(healed.warm_misses, 1, "corrupt checkpoint recomputed");
+        assert_eq!(healed.cache, Some((2, 2)));
+        assert_eq!(cas.stats().corrupt - before.corrupt, 2);
         assert_eq!(report_bytes(&plain), report_bytes(&healed));
+        assert_eq!(m.run(&opts).cache, Some((4, 0)), "both re-filed");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warm_start_composes_with_trace_replay() {
-        let m = tiny_matrix();
-        let plain = m.run(&SweepOptions::with_jobs(2));
-        let trace_dir = scratch_dir("warm-trace");
-        let warm_dir = scratch_dir("warm-trace-ckpt");
-        let source = Arc::new(bc_trace::TraceDir::open(&trace_dir).expect("trace dir opens"));
-        let opts = SweepOptions::with_jobs(2)
-            .source(source)
-            .warm_start(&warm_dir, 1_500);
-        let cold = m.run(&opts);
-        assert_eq!(report_bytes(&plain), report_bytes(&cold));
-        // The second pass restores every cell from the checkpoints the
-        // first one published, replaying traces for the tail.
-        let warm = m.run(&opts);
-        assert_eq!(warm.warm_hits, 4, "every checkpoint must hit");
-        assert_eq!(report_bytes(&plain), report_bytes(&warm));
-        let _ = std::fs::remove_dir_all(&trace_dir);
-        let _ = std::fs::remove_dir_all(&warm_dir);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Determinism guarantees of the simulator and the sweep engine.
 //!
-//! Two properties, both asserted on serde-serialized `RunReport`s so a
-//! regression anywhere in the report surfaces as a byte-level diff:
+//! Two properties, both asserted on the full `Debug` rendering of each
+//! `RunReport` so a regression anywhere in the report surfaces as a
+//! byte-level diff:
 //!
 //! 1. Running the *same* `SystemConfig` twice yields byte-identical
 //!    reports — the simulator derives everything from the config seed.
@@ -26,8 +27,8 @@ fn same_config_runs_byte_identical() {
     let second = System::build(&config).expect("build").run();
 
     assert_eq!(
-        serde::to_string(&first),
-        serde::to_string(&second),
+        format!("{first:?}"),
+        format!("{second:?}"),
         "two runs of the same config diverged"
     );
 }
@@ -58,8 +59,8 @@ fn sweep_reports_are_independent_of_thread_count() {
         let s_report = s.result.as_ref().expect("serial cell failed");
         let p_report = p.result.as_ref().expect("parallel cell failed");
         assert_eq!(
-            serde::to_string(s_report),
-            serde::to_string(p_report),
+            format!("{s_report:?}"),
+            format!("{p_report:?}"),
             "cell {} diverged between --jobs 1 and --jobs 8",
             s.label
         );
@@ -83,7 +84,7 @@ fn run_capped(cells: &[SweepCell], jobs: usize) -> Vec<(String, String)> {
         let report = System::build(&cell.config)
             .map_err(|e| format!("build failed: {e}"))?
             .run();
-        Ok(serde::to_string(&report))
+        Ok(format!("{report:?}"))
     })
     .into_iter()
     .map(|o| (o.label.clone(), o.result.expect("cell failed")))

@@ -1,7 +1,5 @@
 //! The Address Translation Service.
 
-use serde::{Deserialize, Serialize};
-
 use bc_cache::tlb::{Tlb, TlbConfig, TlbEntry};
 use bc_mem::addr::{Asid, Vpn};
 use bc_mem::dram::Dram;
@@ -11,7 +9,7 @@ use bc_sim::stats::{Counter, StatsTable};
 use bc_sim::Cycle;
 
 /// How the system routes accelerator memory traffic through the IOMMU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IommuMode {
     /// The IOMMU only serves translation requests (ATS); the accelerator
     /// caches translations in its own TLB and accesses memory directly by
@@ -23,7 +21,7 @@ pub enum IommuMode {
 }
 
 /// ATS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtsConfig {
     /// IOTLB entries (the trusted shared L2 TLB of Table 3: 512 entries).
     pub iotlb_entries: usize,
@@ -378,75 +376,6 @@ impl Ats {
         t.push("minor faults", self.faults.get());
         t.push_pct("IOTLB miss ratio", self.iotlb.stats().miss_ratio());
         t
-    }
-}
-
-/// Snapshot codec: the IOTLB and walker calendars carry their own
-/// codecs; the page-walk cache vector is saved in slot order (lookup is
-/// exact-match and eviction is min-by-clock, but `swap_remove` makes the
-/// slot order part of the exact state anyway).
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{Ats, AtsConfig};
-
-    impl Snap for AtsConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.usize(self.iotlb_entries);
-            w.usize(self.iotlb_ways);
-            w.u64(self.iotlb_latency);
-            w.usize(self.walkers);
-            w.usize(self.pwc_entries);
-            w.u64(self.fault_latency);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(AtsConfig {
-                iotlb_entries: r.usize()?,
-                iotlb_ways: r.usize()?,
-                iotlb_latency: r.u64()?,
-                walkers: r.usize()?,
-                pwc_entries: r.usize()?,
-                fault_latency: r.u64()?,
-            })
-        }
-    }
-
-    impl Snap for Ats {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"ATS0");
-            w.snap(&self.config);
-            w.snap(&self.iotlb);
-            w.snap(&self.walker_ports);
-            w.snap(&self.pwc);
-            w.u64(self.pwc_clock);
-            w.snap(&self.pwc_hits);
-            w.snap(&self.translations);
-            w.snap(&self.walks);
-            w.snap(&self.faults);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"ATS0")?;
-            let config: AtsConfig = r.snap()?;
-            if config.validate().is_err() {
-                return Err(SnapError::BadValue("ATS geometry"));
-            }
-            let iotlb = r.snap()?;
-            let walker_ports: bc_sim::resource::Channels = r.snap()?;
-            if walker_ports.ports().len() != config.walkers {
-                return Err(SnapError::BadValue("ATS walker count"));
-            }
-            Ok(Ats {
-                config,
-                iotlb,
-                walker_ports,
-                pwc: r.snap()?,
-                pwc_clock: r.u64()?,
-                pwc_hits: r.snap()?,
-                translations: r.snap()?,
-                walks: r.snap()?,
-                faults: r.snap()?,
-            })
-        }
     }
 }
 

@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Base page size: 4 KiB, the minimum page size on most systems (§3.1.1).
 pub const PAGE_SIZE: u64 = 4096;
 
@@ -35,33 +33,23 @@ pub const BLOCK_SHIFT: u32 = 7;
 /// assert_eq!(a.ppn(), Ppn::new(1));
 /// assert_eq!(a.page_offset(), 0x234);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
 
 /// A virtual memory address within some address space ([`Asid`]).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
 
 /// A physical page number (`PhysAddr >> 12`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ppn(u64);
 
 /// A virtual page number (`VirtAddr >> 12`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Vpn(u64);
 
 /// An address-space identifier, naming one process's address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Asid(u16);
 
 macro_rules! addr_common {
@@ -259,7 +247,7 @@ impl fmt::Display for Asid {
 }
 
 /// Supported page sizes (§3.4.4 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PageSize {
     /// 4 KiB base pages.
     Base4K,
@@ -300,57 +288,6 @@ impl fmt::Display for PageSize {
         match self {
             PageSize::Base4K => write!(f, "4KiB"),
             PageSize::Huge2M => write!(f, "2MiB"),
-        }
-    }
-}
-
-/// Snapshot codecs for the address newtypes ([`bc_sim::snapshot::Snap`]):
-/// raw varints for the `u64`-backed types, one byte for [`PageSize`].
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{Asid, PageSize, PhysAddr, Ppn, VirtAddr, Vpn};
-
-    macro_rules! snap_u64_newtype {
-        ($ty:ident) => {
-            impl Snap for $ty {
-                fn save(&self, w: &mut SnapWriter) {
-                    w.u64(self.as_u64());
-                }
-                fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-                    Ok($ty::new(r.u64()?))
-                }
-            }
-        };
-    }
-
-    snap_u64_newtype!(PhysAddr);
-    snap_u64_newtype!(VirtAddr);
-    snap_u64_newtype!(Ppn);
-    snap_u64_newtype!(Vpn);
-
-    impl Snap for Asid {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u16(self.as_u16());
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Asid::new(r.u16()?))
-        }
-    }
-
-    impl Snap for PageSize {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                PageSize::Base4K => 0,
-                PageSize::Huge2M => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(PageSize::Base4K),
-                1 => Ok(PageSize::Huge2M),
-                _ => Err(SnapError::BadValue("page size")),
-            }
         }
     }
 }

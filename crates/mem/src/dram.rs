@@ -9,8 +9,6 @@
 //! per-channel occupancy — because those two terms are what produce both
 //! the latency and the saturation effects in Figure 4.
 
-use serde::{Deserialize, Serialize};
-
 use bc_sim::resource::Channels;
 use bc_sim::stats::{Counter, StatsTable};
 use bc_sim::Cycle;
@@ -25,7 +23,7 @@ use crate::addr::PhysAddr;
 /// pool's coherence protocol. Border Control's checks sit in front of
 /// either — the profile only changes what a block costs once it is
 /// allowed through.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum MemBackend {
     /// Host-local DRAM (Table 3's 180 GB/s device). The default; adds
     /// nothing, so existing configurations are bit-identical.
@@ -111,7 +109,7 @@ impl core::fmt::Display for MemBackend {
 /// cycles: 180 GB/s peak bandwidth is ~257 bytes/cycle, i.e. two 128-byte
 /// blocks per cycle, modelled as 4 channels each occupying 2 cycles per
 /// block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Latency from request issue to first data, in cycles.
     pub access_latency: u64,
@@ -252,73 +250,6 @@ impl Dram {
         t.push("writes", self.writes.get());
         t.push_pct("utilization", self.utilization(elapsed));
         t
-    }
-}
-
-/// Snapshot codecs: the device's exact state is its channel calendars
-/// plus two counters; the config rides along so a restored device can be
-/// built without threading configuration through the snapshot caller.
-mod snap_impls {
-    use bc_sim::resource::Channels;
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{Dram, DramConfig, MemBackend};
-
-    impl Snap for MemBackend {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                MemBackend::LocalDram => 0,
-                MemBackend::CxlPool => 1,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(MemBackend::LocalDram),
-                1 => Ok(MemBackend::CxlPool),
-                _ => Err(SnapError::BadValue("memory backend")),
-            }
-        }
-    }
-
-    impl Snap for DramConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u64(self.access_latency);
-            w.u64(self.service_per_block);
-            w.usize(self.channels);
-            w.snap(&self.backend);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(DramConfig {
-                access_latency: r.u64()?,
-                service_per_block: r.u64()?,
-                channels: r.usize()?,
-                backend: r.snap()?,
-            })
-        }
-    }
-
-    impl Snap for Dram {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"DRAM");
-            w.snap(&self.config);
-            w.snap(&self.channels);
-            w.snap(&self.reads);
-            w.snap(&self.writes);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"DRAM")?;
-            let config: DramConfig = r.snap()?;
-            let channels: Channels = r.snap()?;
-            if channels.ports().len() != config.channels {
-                return Err(SnapError::BadValue("DRAM channel count"));
-            }
-            Ok(Dram {
-                config,
-                channels,
-                reads: r.snap()?,
-                writes: r.snap()?,
-            })
-        }
     }
 }
 

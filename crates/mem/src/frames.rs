@@ -3,8 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{Ppn, PAGE_SIZE};
 
 /// Error returned when physical memory is exhausted (or too fragmented for
@@ -49,7 +47,7 @@ impl Error for OutOfFrames {}
 /// assert_eq!(fa.alloc()?, a); // LIFO reuse
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameAllocator {
     total_frames: u64,
     cursor: u64,
@@ -179,42 +177,6 @@ impl FrameAllocator {
     pub fn free_contiguous(&mut self, base: Ppn, n: u64) {
         for i in 0..n {
             self.free(base.add(i));
-        }
-    }
-}
-
-/// Snapshot codec: the allocator's books are its exact state — cursor,
-/// LIFO free list (order preserved: it determines future allocation
-/// addresses), and the allocated count.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::FrameAllocator;
-    use crate::addr::Ppn;
-
-    impl Snap for FrameAllocator {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"FRAM");
-            w.u64(self.total_frames);
-            w.u64(self.cursor);
-            w.snap(&self.free_list);
-            w.u64(self.allocated);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"FRAM")?;
-            let total_frames = r.u64()?;
-            let cursor = r.u64()?;
-            let free_list: Vec<Ppn> = r.snap()?;
-            let allocated = r.u64()?;
-            if total_frames == 0 || cursor == 0 || cursor > total_frames {
-                return Err(SnapError::BadValue("frame allocator books"));
-            }
-            Ok(FrameAllocator {
-                total_frames,
-                cursor,
-                free_list,
-                allocated,
-            })
         }
     }
 }

@@ -417,60 +417,6 @@ impl PageTable {
     }
 }
 
-/// Snapshot codec: the radix structure is fully determined by the leaf
-/// mappings, so the snapshot stores the leaves (in the ascending-VPN
-/// order [`PageTable::for_each_mapping`] produces) and rebuilds the tree
-/// by re-mapping them; only the walk counters need storing verbatim.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::PageTable;
-    use crate::addr::{Asid, PageSize, Ppn, Vpn};
-    use crate::perms::PagePerms;
-
-    impl Snap for PageTable {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"PGTB");
-            w.snap(&self.asid);
-            let mut count = 0usize;
-            self.for_each_mapping(|_, _| count += 1);
-            w.usize(count);
-            self.for_each_mapping(|vpn, tr| {
-                w.snap(&vpn);
-                // Huge pages are visited at their base VPN, where the
-                // materialized PPN is the huge-page base PPN.
-                w.snap(&tr.ppn);
-                w.snap(&tr.perms);
-                w.snap(&tr.size);
-                w.bool(tr.copy_on_write);
-            });
-            w.u64(self.walks);
-            w.u64(self.walk_node_accesses);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"PGTB")?;
-            let asid: Asid = r.snap()?;
-            let mut pt = PageTable::new(asid);
-            let count = r.usize()?;
-            if count > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            for _ in 0..count {
-                let vpn: Vpn = r.snap()?;
-                let ppn: Ppn = r.snap()?;
-                let perms: PagePerms = r.snap()?;
-                let size: PageSize = r.snap()?;
-                let cow = r.bool()?;
-                pt.map_with_cow(vpn, ppn, perms, size, cow)
-                    .map_err(|_| SnapError::BadValue("page table mapping"))?;
-            }
-            pt.walks = r.u64()?;
-            pt.walk_node_accesses = r.u64()?;
-            Ok(pt)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{BitOr, BitOrAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Read/write/execute permission bits for one page.
 ///
 /// Border Control's Protection Table stores only the read and write bits
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(rw.writable());
 /// assert_eq!(rw.to_string(), "rw-");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PagePerms {
     read: bool,
     write: bool,
@@ -177,28 +175,6 @@ impl fmt::Display for PagePerms {
             if self.write { 'w' } else { '-' },
             if self.execute { 'x' } else { '-' },
         )
-    }
-}
-
-/// Snapshot codec: the three permission bits packed into one byte.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::PagePerms;
-
-    impl Snap for PagePerms {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(u8::from(self.readable())
-                | (u8::from(self.writable()) << 1)
-                | (u8::from(self.executable()) << 2));
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let bits = r.u8()?;
-            if bits > 0b111 {
-                return Err(SnapError::BadValue("page permission bits"));
-            }
-            Ok(PagePerms::new(bits & 1 != 0, bits & 2 != 0, bits & 4 != 0))
-        }
     }
 }
 

@@ -334,74 +334,6 @@ impl PhysMemStore {
     }
 }
 
-/// Snapshot codec: materialized pages (dense tier ascending by frame,
-/// then sparse tier ascending by page number) with their full 4 KiB
-/// contents, plus the accelerator-write log. Arena slot numbers and the
-/// free-slot list are layout, not state — a restored store re-packs
-/// pages into fresh slots with identical read/write semantics.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{PhysMemStore, NO_SLOT, PAGE};
-    use crate::addr::Ppn;
-
-    impl Snap for PhysMemStore {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"PMEM");
-            w.usize(self.slots.len());
-            w.usize(self.dense_resident);
-            for (idx, &slot) in self.slots.iter().enumerate() {
-                if slot != NO_SLOT {
-                    let base = slot as usize * PAGE;
-                    w.u64(idx as u64);
-                    w.bytes(&self.arena[base..base + PAGE]);
-                }
-            }
-            let mut sparse: Vec<Ppn> = self.sparse.keys().copied().collect();
-            sparse.sort_unstable();
-            w.usize(sparse.len());
-            for ppn in sparse {
-                w.u64(ppn.as_u64());
-                w.bytes(self.sparse.get(&ppn).map_or(&[], |p| &p[..]));
-            }
-            w.bool(self.log_accel_writes);
-            w.snap(&self.accel_writes);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"PMEM")?;
-            let frames = r.usize()?;
-            let mut store = PhysMemStore {
-                slots: vec![NO_SLOT; frames],
-                ..PhysMemStore::default()
-            };
-            let dense = r.usize()?;
-            for _ in 0..dense {
-                let ppn = r.u64()?;
-                if ppn >= frames as u64 {
-                    return Err(SnapError::BadValue("dense page out of range"));
-                }
-                let bytes = r.byte_slice()?;
-                if bytes.len() != PAGE {
-                    return Err(SnapError::BadValue("page size"));
-                }
-                store.page_mut(Ppn::new(ppn)).copy_from_slice(bytes);
-            }
-            let sparse = r.usize()?;
-            for _ in 0..sparse {
-                let ppn = r.u64()?;
-                let bytes = r.byte_slice()?;
-                if bytes.len() != PAGE {
-                    return Err(SnapError::BadValue("page size"));
-                }
-                store.page_mut(Ppn::new(ppn)).copy_from_slice(bytes);
-            }
-            store.log_accel_writes = r.bool()?;
-            store.accel_writes = r.snap()?;
-            Ok(store)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -787,105 +787,6 @@ impl Kernel {
     }
 }
 
-/// Snapshot codec for the whole kernel. The process and quarantine
-/// `BTreeMap`s iterate sorted, giving deterministic bytes; the shared
-/// frame refcounts live in an `FxHashMap` (unspecified iteration order),
-/// so their keys are sorted before emission.
-mod snap_impls {
-    use std::collections::BTreeMap;
-
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{FxHashMap, Kernel, KernelConfig, Ppn, Process};
-
-    impl Snap for KernelConfig {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u64(self.phys_bytes);
-            w.snap(&self.violation_policy);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(KernelConfig {
-                phys_bytes: r.u64()?,
-                violation_policy: r.snap()?,
-            })
-        }
-    }
-
-    impl Snap for Kernel {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"KRNL");
-            w.snap(&self.config);
-            w.snap(&self.frames);
-            w.snap(&self.store);
-            w.usize(self.processes.len());
-            for (&asid, proc) in &self.processes {
-                w.u16(asid);
-                w.snap(proc);
-            }
-            w.u16(self.next_asid);
-            w.snap(&self.pending_shootdowns);
-            w.snap(&self.violations);
-            w.snap(&self.minor_faults);
-            w.snap(&self.downgrades);
-            let mut refs: Vec<(u64, u32)> = self.frame_refs.iter().map(|(&p, &n)| (p, n)).collect();
-            refs.sort_unstable();
-            w.snap(&refs);
-            w.usize(self.quarantined.len());
-            for (&asid, frames) in &self.quarantined {
-                w.u16(asid);
-                w.snap(frames);
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"KRNL")?;
-            let config: KernelConfig = r.snap()?;
-            let frames = r.snap()?;
-            let store = r.snap()?;
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            let mut processes = BTreeMap::new();
-            for _ in 0..n {
-                let asid = r.u16()?;
-                processes.insert(asid, r.snap::<Process>()?);
-            }
-            let next_asid = r.u16()?;
-            let pending_shootdowns = r.snap()?;
-            let violations = r.snap()?;
-            let minor_faults = r.snap()?;
-            let downgrades = r.snap()?;
-            let refs: Vec<(u64, u32)> = r.snap()?;
-            let mut frame_refs = FxHashMap::default();
-            for (p, count) in refs {
-                frame_refs.insert(p, count);
-            }
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            let mut quarantined = BTreeMap::new();
-            for _ in 0..n {
-                let asid = r.u16()?;
-                quarantined.insert(asid, r.snap::<Vec<Ppn>>()?);
-            }
-            Ok(Kernel {
-                config,
-                frames,
-                store,
-                processes,
-                next_asid,
-                pending_shootdowns,
-                violations,
-                minor_faults,
-                downgrades,
-                frame_refs,
-                quarantined,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -110,66 +110,6 @@ impl Process {
     }
 }
 
-/// Snapshot codecs. VMA order is exact state (`vma_covering` returns the
-/// first match in registration order).
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{Process, ProcessState, Vma};
-
-    impl Snap for ProcessState {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                ProcessState::Running => 0,
-                ProcessState::Exited => 1,
-                ProcessState::Killed => 2,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(ProcessState::Running),
-                1 => Ok(ProcessState::Exited),
-                2 => Ok(ProcessState::Killed),
-                _ => Err(SnapError::BadValue("process state")),
-            }
-        }
-    }
-
-    impl Snap for Vma {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.start);
-            w.u64(self.pages);
-            w.snap(&self.perms);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Vma {
-                start: r.snap()?,
-                pages: r.u64()?,
-                perms: r.snap()?,
-            })
-        }
-    }
-
-    impl Snap for Process {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"PROC");
-            w.snap(&self.asid);
-            w.snap(&self.page_table);
-            w.snap(&self.vmas);
-            w.snap(&self.state);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"PROC")?;
-            Ok(Process {
-                asid: r.snap()?,
-                page_table: r.snap()?,
-                vmas: r.snap()?,
-                state: r.snap()?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

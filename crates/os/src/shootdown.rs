@@ -60,51 +60,6 @@ impl ShootdownRequest {
     }
 }
 
-/// Snapshot codecs for queued shootdown requests.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{ShootdownRequest, ShootdownScope};
-
-    impl Snap for ShootdownScope {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                ShootdownScope::Page(vpn) => {
-                    w.u8(0);
-                    w.snap(vpn);
-                }
-                ShootdownScope::FullAddressSpace => w.u8(1),
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(ShootdownScope::Page(r.snap()?)),
-                1 => Ok(ShootdownScope::FullAddressSpace),
-                _ => Err(SnapError::BadValue("shootdown scope")),
-            }
-        }
-    }
-
-    impl Snap for ShootdownRequest {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.asid);
-            w.snap(&self.scope);
-            w.snap(&self.old_ppn);
-            w.snap(&self.old_perms);
-            w.snap(&self.new_perms);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(ShootdownRequest {
-                asid: r.snap()?,
-                scope: r.snap()?,
-                old_ppn: r.snap()?,
-                old_perms: r.snap()?,
-                new_perms: r.snap()?,
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

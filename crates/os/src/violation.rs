@@ -61,7 +61,7 @@ impl fmt::Display for Violation {
 }
 
 /// What the kernel does when notified of a violation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ViolationPolicy {
     /// Kill the process running on the accelerator (default).
     #[default]
@@ -92,68 +92,6 @@ impl ViolationPolicy {
             "disable-accelerator" => Some(ViolationPolicy::DisableAccelerator),
             "log-only" => Some(ViolationPolicy::LogOnly),
             _ => None,
-        }
-    }
-}
-
-/// Snapshot codecs for the violation report types.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{Violation, ViolationKind, ViolationPolicy};
-
-    impl Snap for ViolationKind {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                ViolationKind::ReadWithoutPermission => 0,
-                ViolationKind::WriteWithoutPermission => 1,
-                ViolationKind::OutOfBounds => 2,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(ViolationKind::ReadWithoutPermission),
-                1 => Ok(ViolationKind::WriteWithoutPermission),
-                2 => Ok(ViolationKind::OutOfBounds),
-                _ => Err(SnapError::BadValue("violation kind")),
-            }
-        }
-    }
-
-    impl Snap for ViolationPolicy {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                ViolationPolicy::KillProcess => 0,
-                ViolationPolicy::DisableAccelerator => 1,
-                ViolationPolicy::LogOnly => 2,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(ViolationPolicy::KillProcess),
-                1 => Ok(ViolationPolicy::DisableAccelerator),
-                2 => Ok(ViolationPolicy::LogOnly),
-                _ => Err(SnapError::BadValue("violation policy")),
-            }
-        }
-    }
-
-    impl Snap for Violation {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u32(self.accel_id);
-            w.snap(&self.asid);
-            w.snap(&self.ppn);
-            w.snap(&self.kind);
-            w.snap(&self.at);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(Violation {
-                accel_id: r.u32()?,
-                asid: r.snap()?,
-                ppn: r.snap()?,
-                kind: r.snap()?,
-                at: r.snap()?,
-            })
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bc-serve [--addr 127.0.0.1:7171] [--cache-dir .bc-cache] [--jobs N]
-//!          [--cas-max-bytes N] [--trace-dir PATH]
+//!          [--cas-max-bytes N]
 //! bc-serve --smoke [--size tiny]
 //! ```
 //!
@@ -10,9 +10,9 @@
 //! `--cas-max-bytes` caps the result store: after every write the oldest
 //! objects are evicted until the store fits (eviction counters appear on
 //! `/v1/stats`); an evicted result just re-simulates on its next request.
-//! `--trace-dir` makes every simulated cell replay compiled access
-//! traces from (and persist new ones into) the given directory — cells
-//! sharing a workload coordinate then share one trace across all jobs.
+//! The cache directory is the one the figure binaries' `--cache-dir`
+//! takes, so a sweep run on the command line and a job submitted here
+//! fill and serve the same store.
 //! `--smoke` instead runs the self-check CI uses: bind an ephemeral port
 //! with a fresh cache, submit the figure-4 sweep twice over real HTTP,
 //! and require the second (warm) submission to be served entirely from
@@ -63,17 +63,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let runner = match arg_value(&args, "--trace-dir") {
-        None => Gateway::default_runner(),
-        Some(path) => match bc_trace::TraceDir::open(&path) {
-            Ok(dir) => Gateway::replay_runner(Arc::new(dir)),
-            Err(e) => {
-                eprintln!("bc-serve: cannot open trace dir '{path}': {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let gateway = Gateway::with_cas(cas, jobs, runner);
+    let gateway = Gateway::with_cas(cas, jobs, Gateway::default_runner());
     let handler = Arc::new(move |req: &bc_serve::Request| gateway.handle(req));
     let server = match Server::start(&addr, handler) {
         Ok(s) => s,

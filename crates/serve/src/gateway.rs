@@ -5,9 +5,9 @@
 //! production sweep matrices (`{"matrix": "fig4", "size": "tiny"}`) or
 //! carrying one canonical [`SystemConfig`] document (the exact
 //! [`bc_experiments::schema::encode_config`] form). Cells fan out to a
-//! fixed worker pool; each cell first consults the content-addressed
-//! store ([`crate::cas`]) and only simulates on a miss, filing the result
-//! for every later client. Progress is observable per cell
+//! fixed worker pool; each cell goes through the result store's one
+//! cache policy ([`Cas::memo`]) and only simulates on a miss, filing the
+//! result for every later client. Progress is observable per cell
 //! (`/v1/jobs/{id}/events`), jobs are cancellable, and a panicking cell
 //! marks its job failed without taking down the pool or the server.
 //!
@@ -31,12 +31,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use bc_experiments::cas::Cas;
 use bc_experiments::matrices;
 use bc_experiments::schema::{self, json};
 use bc_system::{RunReport, System, SystemConfig};
 use bc_workloads::WorkloadSize;
 
-use crate::cas::Cas;
 use crate::http::{Request, Response};
 
 /// How a cell's configuration becomes a report. Injectable so the test
@@ -156,21 +156,6 @@ impl Gateway {
     pub fn default_runner() -> Runner {
         Arc::new(|config: &SystemConfig| {
             System::build(config)
-                .map(|mut system| system.run())
-                .map_err(|e| format!("build failed: {e}"))
-        })
-    }
-
-    /// Like [`Gateway::default_runner`] but every cell draws its
-    /// wavefront access streams from `source` — typically a shared
-    /// [`bc_trace::TraceDir`], so one compiled trace serves every cell
-    /// (and every job) with the same content key. Replay is
-    /// byte-identical to live synthesis, so cached results keyed by
-    /// config alone stay valid.
-    #[must_use]
-    pub fn replay_runner(source: Arc<dyn bc_workloads::StreamSource>) -> Runner {
-        Arc::new(move |config: &SystemConfig| {
-            System::build_with_source(config, source.as_ref())
                 .map(|mut system| system.run())
                 .map_err(|e| format!("build failed: {e}"))
         })
@@ -359,8 +344,8 @@ fn status_json(job: &Job) -> Response {
     )
 }
 
-/// Runs one job's cells on the gateway pool: CAS first, simulate on miss,
-/// file the result; panics become failed cells, not dead workers.
+/// Runs one job's cells on the gateway pool through [`Cas::memo`];
+/// panics become failed cells, not dead workers.
 fn run_job(inner: &Inner, job: &Job) {
     {
         let mut p = job.progress.lock().expect("job mutex poisoned");
@@ -378,22 +363,14 @@ fn run_job(inner: &Inner, job: &Job) {
                     continue;
                 }
                 let started = Instant::now();
-                let outcome = if let Some(payload) = inner.cas.get(&cell.key) {
-                    CellResult::Hit(payload)
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| (inner.runner)(&cell.config))) {
-                        Ok(Ok(report)) => {
-                            let payload = schema::encode_report(&report);
-                            // A failed put degrades to a cache miss for
-                            // the next client; the result still serves.
-                            let _ = inner.cas.put(&cell.key, &payload);
-                            CellResult::Ran(payload)
-                        }
-                        Ok(Err(e)) => CellResult::Failed(e),
-                        Err(payload) => {
-                            CellResult::Failed(format!("cell panicked: {}", panic_text(&*payload)))
-                        }
-                    }
+                let run = || match catch_unwind(AssertUnwindSafe(|| (inner.runner)(&cell.config))) {
+                    Ok(result) => result,
+                    Err(payload) => Err(format!("cell panicked: {}", panic_text(&*payload))),
+                };
+                let outcome = match inner.cas.memo(&cell.key, run) {
+                    Ok(memo) if memo.hit => CellResult::Hit(memo.payload),
+                    Ok(memo) => CellResult::Ran(memo.payload),
+                    Err(e) => CellResult::Failed(e),
                 };
                 record(job, i, outcome, started.elapsed().as_millis());
             });

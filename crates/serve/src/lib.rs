@@ -10,11 +10,10 @@
 //! * [`gateway`] — accepts sweep/cell jobs as JSON over loopback HTTP,
 //!   schedules them onto a worker pool, streams per-cell progress, and
 //!   supports cancellation;
-//! * [`cas`] — memoizes every completed cell under
-//!   `sha256(canonical_config ⊕ code revision)`, so resubmitting a sweep
-//!   serves stored bytes instead of re-simulating;
-//! * [`sha256`] — the digest, hand-rolled over `std` (the build container
-//!   has no registry access) and pinned to the NIST vectors;
+//! * [`Cas`] — the result store ([`bc_experiments::cas`], shared with
+//!   the figure binaries' `--cache-dir`) memoizes every completed cell
+//!   under `sha256(canonical_config ⊕ code revision)`, so resubmitting a
+//!   sweep serves stored bytes instead of re-simulating;
 //! * [`http`] / [`client`] — the minimal HTTP/1.1 dialect both ends
 //!   speak, `TcpListener`/`TcpStream` only.
 //!
@@ -26,12 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cas;
 pub mod client;
 pub mod gateway;
 pub mod http;
-pub mod sha256;
 
-pub use cas::{Cas, CasStats};
+pub use bc_experiments::cas::{Cas, CasStats};
 pub use gateway::{Gateway, JobState, Runner};
 pub use http::{Request, Response, Server};

@@ -12,7 +12,8 @@ use bc_core::FlushPolicy;
 use bc_experiments::schema;
 use bc_mem::MemBackend;
 use bc_os::ViolationPolicy;
-use bc_serve::{sha256, Cas};
+use bc_serve::Cas;
+use bc_sim::sha256;
 use bc_system::{GpuClass, HostActivityConfig, SafetyModel, SystemConfig};
 use bc_workloads::WorkloadSize;
 

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bc_experiments::{matrices, schema};
+use bc_experiments::{matrices, schema, SweepOptions};
 use bc_serve::{client, Cas, Gateway, Request, Runner, Server};
 use bc_system::{System, SystemConfig};
 use bc_workloads::WorkloadSize;
@@ -136,22 +136,19 @@ fn submit_poll_fetch_lifecycle_matches_direct_runs() {
     assert_eq!(tail.lines().count(), 1);
 }
 
-/// A gateway over a byte-bounded store with a trace-replay runner:
-/// served bytes still match direct runs exactly (replay identity), and
-/// `/v1/stats` surfaces the eviction counters a churning store racks up.
+/// A gateway over a byte-bounded store: served bytes still match direct
+/// runs exactly, and `/v1/stats` surfaces the eviction counters a
+/// churning store racks up.
 #[test]
-fn bounded_trace_replay_gateway_serves_identical_bytes_and_reports_evictions() {
-    let tag = format!("bounded-replay-{}", std::process::id());
+fn bounded_gateway_serves_identical_bytes_and_reports_evictions() {
+    let tag = format!("bounded-{}", std::process::id());
     let cache_dir = std::env::temp_dir().join(format!("bc-gateway-cache-{tag}"));
-    let trace_dir = std::env::temp_dir().join(format!("bc-gateway-traces-{tag}"));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_dir_all(&trace_dir);
 
     // Budget below one report's size: every put immediately churns, so
     // eviction counters must be visible after a single job.
     let cas = Cas::open_bounded(&cache_dir, Some(64)).unwrap();
-    let source = Arc::new(bc_trace::TraceDir::open(&trace_dir).unwrap());
-    let gateway = Gateway::with_cas(cas, 2, Gateway::replay_runner(source));
+    let gateway = Gateway::with_cas(cas, 2, Gateway::default_runner());
     let handler = Arc::new(move |req: &Request| gateway.handle(req));
     let server = Server::start("127.0.0.1:0", handler).unwrap();
     let addr = server.addr();
@@ -164,7 +161,7 @@ fn bounded_trace_replay_gateway_serves_identical_bytes_and_reports_evictions() {
         assert_eq!(
             cell_body(addr, job, i),
             direct_report(config),
-            "cell {i} ({label}) drifted under trace replay"
+            "cell {i} ({label}) drifted in a bounded store"
         );
     }
 
@@ -178,7 +175,31 @@ fn bounded_trace_replay_gateway_serves_identical_bytes_and_reports_evictions() {
     );
 
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let _ = std::fs::remove_dir_all(&trace_dir);
+}
+
+/// The gateway and the figure sweeps share one store: every object a
+/// gateway job files is a hit for `SweepMatrix::run` over the same
+/// directory, and the sweep's reports equal the bytes the gateway served.
+#[test]
+fn gateway_filed_objects_are_sweep_hits() {
+    let ts = TestServer::start("shared", 2, None);
+    let addr = ts.addr();
+    let job = submit(addr, "{\"matrix\": \"attacks\", \"size\": \"tiny\"}");
+    assert!(client::wait_for_job(addr, job).unwrap().contains("done"));
+
+    let cas = Arc::new(Cas::open(&ts.cache_dir).unwrap());
+    let results = matrices::attacks(WorkloadSize::Tiny)
+        .audit(false)
+        .run(&SweepOptions {
+            cache: Some(Arc::clone(&cas)),
+            ..SweepOptions::with_jobs(2)
+        });
+    let n = attacks_cells().len();
+    assert_eq!(results.cache, Some((n as u64, 0)), "every cell must hit");
+    for (i, outcome) in results.iter().enumerate() {
+        let report = outcome.result.as_ref().unwrap();
+        assert_eq!(schema::encode_report(report), cell_body(addr, job, i));
+    }
 }
 
 #[test]

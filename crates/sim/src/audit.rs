@@ -35,10 +35,8 @@
 use crate::fxmap::FxHashMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The invariant class a finding violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditKind {
     /// Border Control's allow/deny decision disagreed with the shadow
     /// permission oracle.
@@ -129,7 +127,7 @@ impl fmt::Display for AuditKind {
 }
 
 /// One violated invariant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuditFinding {
     /// Invariant class.
     pub kind: AuditKind,
@@ -146,7 +144,7 @@ impl fmt::Display for AuditFinding {
 }
 
 /// Everything the auditor observed over one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AuditReport {
     /// Invariant violations, in observation order.
     pub findings: Vec<AuditFinding>,
@@ -486,109 +484,6 @@ impl Auditor {
     /// Drains the report (the run attaches it to its own report).
     pub fn take_report(&mut self) -> AuditReport {
         std::mem::take(&mut self.report)
-    }
-}
-
-/// Snapshot codecs. The shadow-oracle map is hash-ordered in memory, so
-/// it is sorted by page before emission to keep snapshot bytes
-/// deterministic; restore reinserts in sorted order, which is fine — map
-/// iteration order never reaches behavior (every query is keyed).
-mod snap_impls {
-    use crate::fxmap::FxHashMap;
-    use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{AuditFinding, AuditKind, AuditReport, Auditor};
-
-    impl Snap for AuditKind {
-        fn save(&self, w: &mut SnapWriter) {
-            let idx = AuditKind::ALL
-                .iter()
-                .position(|k| k == self)
-                .expect("kind in ALL");
-            w.u8(idx as u8);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let idx = r.u8()? as usize;
-            AuditKind::ALL
-                .get(idx)
-                .copied()
-                .ok_or(SnapError::BadValue("audit kind"))
-        }
-    }
-
-    impl Snap for AuditFinding {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.kind);
-            w.u64(self.at);
-            w.str(&self.detail);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(AuditFinding {
-                kind: r.snap()?,
-                at: r.u64()?,
-                detail: r.string()?,
-            })
-        }
-    }
-
-    impl Snap for AuditReport {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.findings);
-            w.u64(self.assertions);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(AuditReport {
-                findings: r.snap()?,
-                assertions: r.u64()?,
-            })
-        }
-    }
-
-    impl Snap for Auditor {
-        fn save(&self, w: &mut SnapWriter) {
-            w.section(*b"AUDT");
-            w.bool(self.fatal);
-            w.snap(&self.report);
-            let mut granted: Vec<(u64, bool, bool)> = self
-                .granted
-                .iter()
-                .map(|(&page, &(rd, wr))| (page, rd, wr))
-                .collect();
-            granted.sort_unstable_by_key(|&(page, _, _)| page);
-            w.usize(granted.len());
-            for (page, rd, wr) in granted {
-                w.u64(page);
-                w.bool(rd);
-                w.bool(wr);
-            }
-            w.snap(&self.oracle_bounds);
-            w.usize(self.wb_capacity);
-            w.u64(self.last_stall);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            r.section(*b"AUDT")?;
-            let fatal = r.bool()?;
-            let report = r.snap()?;
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            let mut granted = FxHashMap::default();
-            for _ in 0..n {
-                let page = r.u64()?;
-                let rd = r.bool()?;
-                let wr = r.bool()?;
-                granted.insert(page, (rd, wr));
-            }
-            Ok(Auditor {
-                fatal,
-                report,
-                granted,
-                oracle_bounds: r.snap()?,
-                wb_capacity: r.usize()?,
-                last_stall: r.u64()?,
-            })
-        }
     }
 }
 

@@ -80,23 +80,6 @@ struct Keyed<E> {
     ev: E,
 }
 
-/// A pending event extracted from the executor at a warm-start cut: the
-/// owning component, firing instant, and the `(src, seq)` dispatch key
-/// it was issued with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingEvent<E> {
-    /// Component the event is for.
-    pub comp: CompId,
-    /// Instant the event fires at.
-    pub at: Cycle,
-    /// Issuing component (dispatch-order tie-break, major).
-    pub src: u32,
-    /// Issue sequence within `src` (dispatch-order tie-break, minor).
-    pub seq: u64,
-    /// The event payload.
-    pub ev: E,
-}
-
 /// Sink for events emitted while handling a dispatch. Enforces the
 /// scheduling contract (clamping + violation records).
 pub struct Outbox<'a, E> {
@@ -155,8 +138,8 @@ impl<E> Outbox<'_, E> {
 /// The serial component executor.
 ///
 /// Lifecycle: [`Executor::new`], seed initial events with
-/// [`Executor::seed`], then [`Executor::run`] (or [`Executor::run_until`]
-/// for a warm-start cut) with the machine's [`Handler`].
+/// [`Executor::seed`], then [`Executor::run`] with the machine's
+/// [`Handler`].
 pub struct Executor<E> {
     lookahead: u64,
     queue: EventQueue<Keyed<E>>,
@@ -195,75 +178,8 @@ impl<E> Executor<E> {
         );
     }
 
-    /// Drains every pending event, keys included. Re-inserting the result
-    /// through [`Executor::restore_pending`] (into a fresh executor of the
-    /// same shape) reproduces the identical schedule: each cycle's batch
-    /// is sorted by its keys, so insertion order does not matter. Used by
-    /// the snapshot layer at a warm-start cut.
-    pub fn drain_pending(&mut self) -> Vec<PendingEvent<E>> {
-        std::iter::from_fn(|| self.queue.pop())
-            .map(|(at, k)| PendingEvent {
-                comp: k.comp,
-                at,
-                src: k.src,
-                seq: k.seq,
-                ev: k.ev,
-            })
-            .collect()
-    }
-
-    /// Re-inserts events captured by [`Executor::drain_pending`],
-    /// preserving their original dispatch keys.
-    pub fn restore_pending(&mut self, events: Vec<PendingEvent<E>>) {
-        for p in events {
-            self.queue.push(
-                p.at,
-                Keyed {
-                    comp: p.comp,
-                    src: p.src,
-                    seq: p.seq,
-                    ev: p.ev,
-                },
-            );
-        }
-    }
-
-    /// Per-component outgoing sequence counters. Together with the
-    /// pending events these pin the `(src, seq)` tie-break order, so a
-    /// restored executor issues exactly the keys the original would have.
-    #[must_use]
-    pub fn out_seqs(&self) -> &[u64] {
-        &self.out_seqs
-    }
-
-    /// Restores the per-component sequence counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seqs.len()` does not match the component count.
-    pub fn set_out_seqs(&mut self, seqs: &[u64]) {
-        assert_eq!(seqs.len(), self.out_seqs.len(), "one counter per component");
-        self.out_seqs.copy_from_slice(seqs);
-    }
-
     /// Runs the schedule to completion.
     pub fn run<H: Handler<E>>(&mut self, handler: &mut H) -> ExecRun {
-        self.run_bounded(handler, u64::MAX)
-    }
-
-    /// Runs the schedule until every pending event sits at or beyond
-    /// `until`, then stops, leaving those events queued.
-    ///
-    /// Every event strictly below `until` is dispatched in exactly the
-    /// order [`Executor::run`] would have dispatched it, so state at the
-    /// cut is byte-identical to the same instant of an unbounded run: the
-    /// property the snapshot/warm-start layer is built on. A follow-up
-    /// `run`/`run_until` call continues the schedule.
-    pub fn run_until<H: Handler<E>>(&mut self, handler: &mut H, until: Cycle) -> ExecRun {
-        self.run_bounded(handler, until.as_u64())
-    }
-
-    fn run_bounded<H: Handler<E>>(&mut self, handler: &mut H, until: u64) -> ExecRun {
         let Executor {
             lookahead,
             queue,
@@ -271,7 +187,7 @@ impl<E> Executor<E> {
             batch,
         } = self;
         let mut run = ExecRun::default();
-        while let Some(now) = queue.peek_time().filter(|t| t.as_u64() < until) {
+        while let Some(now) = queue.peek_time() {
             while queue.peek_time() == Some(now) {
                 let (_, k) = queue.pop().expect("peeked non-empty");
                 batch.push(k);
@@ -409,32 +325,20 @@ mod tests {
     }
 
     #[test]
-    fn run_until_then_continue_matches_straight_run() {
-        let mut straight = seeded_hops();
+    fn run_dispatches_every_hop_in_time_order() {
+        let mut exec = seeded_hops();
         let mut h = hopper();
-        let straight_run = straight.run(&mut h);
-        let straight_trace = h.trace;
+        let run = exec.run(&mut h);
+        // Tokens start with 20..=23 hops and each is dispatched once per
+        // remaining hop plus its final arrival.
+        assert_eq!(run.dispatched, (20..24).map(|n| n + 1).sum::<u64>());
+        assert_eq!(h.trace.len() as u64, run.dispatched);
+        assert!(h.trace.windows(2).all(|w| w[0].1 <= w[1].1));
+        assert!(run.violations.is_empty());
 
-        // Cut at 40, extract, restore into a fresh executor, continue.
-        let mut warm = seeded_hops();
-        let mut h = hopper();
-        let first = warm.run_until(&mut h, Cycle::new(40));
-        let mut pending = warm.drain_pending();
-        assert!(
-            pending.iter().all(|p| p.at >= Cycle::new(40)),
-            "everything below the cut was dispatched"
-        );
-        // Restore order is irrelevant: each cycle's batch is sorted.
-        pending.reverse();
-        let mut resumed = Executor::new(4, 4);
-        resumed.restore_pending(pending);
-        resumed.set_out_seqs(warm.out_seqs());
-        let second = resumed.run(&mut h);
-
-        assert_eq!(straight_trace, h.trace);
-        assert_eq!(
-            straight_run.dispatched,
-            first.dispatched + second.dispatched
-        );
+        let mut again = seeded_hops();
+        let mut h2 = hopper();
+        again.run(&mut h2);
+        assert_eq!(h.trace, h2.trace, "a rerun dispatches identically");
     }
 }

@@ -49,7 +49,6 @@ pub mod fxmap;
 pub mod resource;
 pub mod rng;
 pub mod sha256;
-pub mod snapshot;
 pub mod stats;
 pub mod trace;
 

@@ -9,8 +9,6 @@
 //! earlier gap instead of queueing behind a future reservation. Intervals
 //! coalesce as they fill, so the calendar stays small under load.
 
-use serde::{Deserialize, Serialize};
-
 use crate::stats::{Counter, Histogram};
 use crate::Cycle;
 
@@ -37,7 +35,7 @@ const RETAIN_CYCLES: u64 = 16_384;
 /// p.serve(Cycle::new(1_000_000), 10);
 /// assert_eq!(p.serve(Cycle::new(30), 10).as_u64(), 40);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Port {
     /// Busy intervals `(start, end)`, sorted, disjoint, coalesced. A small
     /// sorted vector beats a search tree here: coalescing plus pruning
@@ -241,43 +239,6 @@ impl Port {
     }
 }
 
-impl crate::snapshot::Snap for Port {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        // Only the live calendar is behavioral: every booking decision
-        // reads `live()` and the dead prefix exists solely to amortize
-        // pruning. Serializing the live slice with `head = 0` restores a
-        // port whose every future booking (and every stat) is identical.
-        w.snap(&self.live().to_vec());
-        w.u64(self.max_arrival);
-        w.snap(&self.served);
-        w.u64(self.busy_cycles);
-        w.snap(&self.queue_delay);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(Port {
-            busy: r.snap()?,
-            head: 0,
-            max_arrival: r.u64()?,
-            served: r.snap()?,
-            busy_cycles: r.u64()?,
-            queue_delay: r.snap()?,
-        })
-    }
-}
-
-impl crate::snapshot::Snap for Channels {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.snap(&self.ports);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let ports: Vec<Port> = r.snap()?;
-        if ports.is_empty() {
-            return Err(crate::snapshot::SnapError::BadValue("zero channels"));
-        }
-        Ok(Channels { ports })
-    }
-}
-
 /// A bank of identical ports; each request is dispatched to the port that
 /// can start it earliest. Models multi-channel DRAM or multiple parallel
 /// page-table walkers.
@@ -294,7 +255,7 @@ impl crate::snapshot::Snap for Channels {
 /// // ...but a third must queue.
 /// assert_eq!(dram.serve(Cycle::new(0), 8).as_u64(), 16);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Channels {
     ports: Vec<Port>,
 }

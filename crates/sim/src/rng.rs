@@ -93,19 +93,6 @@ impl SimRng {
     }
 }
 
-impl crate::snapshot::Snap for SimRng {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        for word in self.state {
-            w.u64(word);
-        }
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(SimRng {
-            state: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-        })
-    }
-}
-
 impl RngCore for SimRng {
     fn next_u32(&mut self) -> u32 {
         (self.next_u64() >> 32) as u32

@@ -6,11 +6,11 @@
 //! schedule, eight working variables, 64 rounds — and is pinned against
 //! the NIST FIPS 180-4 example vectors inline here and end-to-end in
 //! `bc-serve`'s `tests/cas.rs`. It lives in `bc_sim` (the workspace root
-//! crate) so every content-addressed store — the `bc-serve` result cache,
-//! the `bc-trace` compiled-trace directory, and the sweep warm-start
-//! checkpoint cache — shares one digest. Speed is irrelevant at this call
-//! rate (one digest per cache object, over at most a few megabytes);
-//! correctness and stability are the point.
+//! crate) so the one content-addressed store, the result cache shared by
+//! the figure sweeps and `bc-serve`, can key objects from any crate.
+//! Speed is irrelevant at this call rate (one digest per cache object,
+//! over at most a few megabytes); correctness and stability are the
+//! point.
 
 // bc-lint: allow-file(saturating-counter) — mod-2^32 wrapping addition
 // and the bit-length multiply are the FIPS 180-4 algorithm itself.

@@ -10,8 +10,6 @@
 // ever feeds back into simulation state.
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// c.add(4);
 /// assert_eq!(c.get(), 5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -79,7 +77,7 @@ impl fmt::Display for Counter {
 /// assert_eq!(hm.accesses(), 3);
 /// assert!((hm.miss_ratio() - 1.0 / 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HitMiss {
     hits: u64,
     misses: u64,
@@ -188,7 +186,7 @@ impl fmt::Display for HitMiss {
 /// assert_eq!(h.max(), 100);
 /// assert!((h.mean() - 26.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -304,53 +302,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-impl crate::snapshot::Snap for Counter {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.0);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(Counter(r.u64()?))
-    }
-}
-
-impl crate::snapshot::Snap for HitMiss {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.u64(self.hits);
-        w.u64(self.misses);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        Ok(HitMiss {
-            hits: r.u64()?,
-            misses: r.u64()?,
-        })
-    }
-}
-
-impl crate::snapshot::Snap for Histogram {
-    fn save(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.snap(&self.buckets);
-        w.u64(self.count);
-        w.u64(self.sum);
-        // `min` uses u64::MAX as the "empty" sentinel; store it verbatim
-        // so a restored empty histogram is field-identical.
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-    fn load(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let buckets: Vec<u64> = r.snap()?;
-        if buckets.len() != 64 {
-            return Err(crate::snapshot::SnapError::BadValue("histogram buckets"));
-        }
-        Ok(Histogram {
-            buckets,
-            count: r.u64()?,
-            sum: r.u64()?,
-            min: r.u64()?,
-            max: r.u64()?,
-        })
-    }
-}
-
 /// A two-column table of named statistics, used by the experiment harness
 /// to print paper-style reports.
 ///
@@ -366,7 +317,7 @@ impl crate::snapshot::Snap for Histogram {
 /// assert!(s.contains("cycles"));
 /// assert!(s.contains("1234"));
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsTable {
     title: String,
     rows: Vec<(String, String)>,

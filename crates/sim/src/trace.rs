@@ -9,12 +9,10 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::Cycle;
 
 /// Category of a traced event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// Border Control blocked a request.
     Violation,
@@ -45,7 +43,7 @@ impl fmt::Display for TraceKind {
 }
 
 /// One traced event.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// When it happened.
     pub at: Cycle,
@@ -83,7 +81,7 @@ impl fmt::Display for TraceEvent {
 /// off.record(Cycle::new(5), TraceKind::Other, || unreachable!("lazy"));
 /// assert!(off.events().is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tracer {
     enabled: bool,
     capacity: usize,
@@ -155,85 +153,6 @@ impl Tracer {
             let _ = writeln!(out, "{e}");
         }
         out
-    }
-}
-
-/// Snapshot codecs. The ring order and drop counter are exact state
-/// (renders and future evictions depend on both).
-mod snap_impls {
-    use std::collections::VecDeque;
-
-    use crate::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{TraceEvent, TraceKind, Tracer};
-
-    impl Snap for TraceKind {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                TraceKind::Violation => 0,
-                TraceKind::Downgrade => 1,
-                TraceKind::Recall => 2,
-                TraceKind::Translation => 3,
-                TraceKind::Process => 4,
-                TraceKind::Other => 5,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(TraceKind::Violation),
-                1 => Ok(TraceKind::Downgrade),
-                2 => Ok(TraceKind::Recall),
-                3 => Ok(TraceKind::Translation),
-                4 => Ok(TraceKind::Process),
-                5 => Ok(TraceKind::Other),
-                _ => Err(SnapError::BadValue("trace kind")),
-            }
-        }
-    }
-
-    impl Snap for TraceEvent {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.at);
-            w.snap(&self.kind);
-            w.str(&self.detail);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(TraceEvent {
-                at: r.snap()?,
-                kind: r.snap()?,
-                detail: r.string()?,
-            })
-        }
-    }
-
-    impl Snap for Tracer {
-        fn save(&self, w: &mut SnapWriter) {
-            w.bool(self.enabled);
-            w.usize(self.capacity);
-            w.usize(self.events.len());
-            for e in &self.events {
-                w.snap(e);
-            }
-            w.u64(self.dropped);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let enabled = r.bool()?;
-            let capacity = r.usize()?;
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            let mut events = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                events.push_back(r.snap()?);
-            }
-            Ok(Tracer {
-                enabled,
-                capacity,
-                events,
-                dropped: r.u64()?,
-            })
-        }
     }
 }
 

@@ -150,15 +150,8 @@ impl Handler<u64> for Player {
     }
 }
 
-/// Runs the same program through the executor. With `cut`, the run stops
-/// there, its pending events are restored (in reverse) into a fresh
-/// executor, and that one finishes the schedule.
-fn executor_run(
-    components: usize,
-    lookahead: u64,
-    seeds: &[(CompId, u64, u64)],
-    cut: Option<u64>,
-) -> Observed {
+/// Runs the same program through the executor.
+fn executor_run(components: usize, lookahead: u64, seeds: &[(CompId, u64, u64)]) -> Observed {
     let mut exec = Executor::new(components, lookahead);
     for &(comp, at, payload) in seeds {
         exec.seed(comp, Cycle::new(at), payload);
@@ -167,23 +160,7 @@ fn executor_run(
         components,
         trace: Vec::new(),
     };
-    let run = match cut {
-        None => exec.run(&mut player),
-        Some(cut) => {
-            let first = exec.run_until(&mut player, Cycle::new(cut));
-            let mut pending = exec.drain_pending();
-            pending.reverse();
-            let mut resumed = Executor::new(components, lookahead);
-            resumed.restore_pending(pending);
-            resumed.set_out_seqs(exec.out_seqs());
-            let mut second = resumed.run(&mut player);
-            second.dispatched += first.dispatched;
-            let mut violations = first.violations;
-            violations.append(&mut second.violations);
-            second.violations = violations;
-            second
-        }
-    };
+    let run = exec.run(&mut player);
     Observed {
         trace: player.trace,
         violations: run.violations,
@@ -191,21 +168,18 @@ fn executor_run(
     }
 }
 
-/// Strategy for one program: component count, lookahead, seed events and
-/// a warm-start cut.
+/// Strategy for one program: component count, lookahead and seed events.
 fn program() -> impl Strategy<
     Value = (
         usize,                  // components
         u64,                    // lookahead
         Vec<(usize, u64, u64)>, // seeds (raw comp, cycle, payload)
-        u64,                    // cut
     ),
 > {
     (
         2usize..6,
         1u64..7,
         proptest::collection::vec((0usize..8, 0u64..50, 1u64..4096), 1..8),
-        0u64..80,
     )
 }
 
@@ -214,11 +188,10 @@ proptest! {
 
     /// The headline pin: for arbitrary adversarial programs, the executor
     /// observes exactly the reference scheduler's global dispatch order,
-    /// violation log and dispatch count, straight through and across a
-    /// warm-start cut.
+    /// violation log and dispatch count.
     #[test]
     fn executor_matches_single_queue_reference(
-        (components, lookahead, raw_seeds, cut) in program()
+        (components, lookahead, raw_seeds) in program()
     ) {
         let seeds: Vec<(CompId, u64, u64)> = raw_seeds
             .iter()
@@ -228,10 +201,8 @@ proptest! {
         prop_assert!(want.dispatched >= seeds.len() as u64);
         prop_assert_eq!(want.dispatched, want.trace.len() as u64);
 
-        let got = executor_run(components, lookahead, &seeds, None);
-        prop_assert_eq!(&got, &want, "straight run diverged from the reference");
-        let resumed = executor_run(components, lookahead, &seeds, Some(cut));
-        prop_assert_eq!(&resumed, &want, "run cut at {} diverged from the reference", cut);
+        let got = executor_run(components, lookahead, &seeds);
+        prop_assert_eq!(&got, &want, "run diverged from the reference");
     }
 
     /// Every recorded violation is internally consistent — the asked-for
@@ -240,13 +211,13 @@ proptest! {
     /// arrives sorted by the deterministic `(now, src, seq)` key.
     #[test]
     fn violation_records_are_exact_and_ordered(
-        (components, lookahead, raw_seeds, _cut) in program()
+        (components, lookahead, raw_seeds) in program()
     ) {
         let seeds: Vec<(CompId, u64, u64)> = raw_seeds
             .iter()
             .map(|&(c, at, p)| (c % components, at, p))
             .collect();
-        let got = executor_run(components, lookahead, &seeds, None);
+        let got = executor_run(components, lookahead, &seeds);
         for v in &got.violations {
             let floor = if v.dst == v.src { v.now + 1 } else { v.now + lookahead };
             prop_assert_eq!(v.floor, floor, "floor mismatch in {:?}", v);

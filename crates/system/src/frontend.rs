@@ -609,229 +609,3 @@ impl Frontend {
         }
     }
 }
-
-/// Snapshot codecs: events (a warm-start cut serializes the engine's
-/// pending calendar), op continuations, and the frontend's exact state.
-/// Params-derived fields (ids, behavior, latencies, the probe-rng *seed*)
-/// are rebuilt from the restoring system's config; everything the run
-/// mutates is serialized.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-    use bc_workloads::{AccessStream, BlockList};
-
-    use super::{BlockState, Event, Frontend, OpRun};
-
-    impl Snap for Event {
-        fn save(&self, w: &mut SnapWriter) {
-            match self {
-                Event::WavefrontReady { cu, wf } => {
-                    w.u8(0);
-                    w.usize(*cu);
-                    w.usize(*wf);
-                }
-                Event::IssueOp { cu, wf } => {
-                    w.u8(1);
-                    w.usize(*cu);
-                    w.usize(*wf);
-                }
-                Event::Downgrade => w.u8(2),
-                Event::CommitDowngrade { vpn } => {
-                    w.u8(3);
-                    w.snap(vpn);
-                }
-                Event::CpuTick => w.u8(4),
-                Event::Translate { cu, vpn } => {
-                    w.u8(5);
-                    w.usize(*cu);
-                    w.snap(vpn);
-                }
-                Event::L2Req {
-                    cu,
-                    wf,
-                    block,
-                    pa,
-                    write,
-                } => {
-                    w.u8(6);
-                    w.usize(*cu);
-                    w.usize(*wf);
-                    w.u8(*block);
-                    w.snap(pa);
-                    w.bool(*write);
-                }
-                Event::Probe { ppn, write } => {
-                    w.u8(7);
-                    w.snap(ppn);
-                    w.bool(*write);
-                }
-                Event::WfDone => w.u8(8),
-                Event::TlbFill { entry } => {
-                    w.u8(9);
-                    w.snap(entry);
-                }
-                Event::BlockDone { wf, block, done } => {
-                    w.u8(10);
-                    w.usize(*wf);
-                    w.u8(*block);
-                    w.snap(done);
-                }
-                Event::StallHorizon { until } => {
-                    w.u8(11);
-                    w.snap(until);
-                }
-                Event::Shootdown(req) => {
-                    w.u8(12);
-                    w.snap(req);
-                }
-                Event::FlushPage(ppn) => {
-                    w.u8(13);
-                    w.snap(ppn);
-                }
-                Event::FlushAll => w.u8(14),
-                Event::RecallInv { pa } => {
-                    w.u8(15);
-                    w.snap(pa);
-                }
-                Event::Disable => w.u8(16),
-                Event::Halt => w.u8(17),
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(match r.u8()? {
-                0 => Event::WavefrontReady {
-                    cu: r.usize()?,
-                    wf: r.usize()?,
-                },
-                1 => Event::IssueOp {
-                    cu: r.usize()?,
-                    wf: r.usize()?,
-                },
-                2 => Event::Downgrade,
-                3 => Event::CommitDowngrade { vpn: r.snap()? },
-                4 => Event::CpuTick,
-                5 => Event::Translate {
-                    cu: r.usize()?,
-                    vpn: r.snap()?,
-                },
-                6 => Event::L2Req {
-                    cu: r.usize()?,
-                    wf: r.usize()?,
-                    block: r.u8()?,
-                    pa: r.snap()?,
-                    write: r.bool()?,
-                },
-                7 => Event::Probe {
-                    ppn: r.snap()?,
-                    write: r.bool()?,
-                },
-                8 => Event::WfDone,
-                9 => Event::TlbFill { entry: r.snap()? },
-                10 => Event::BlockDone {
-                    wf: r.usize()?,
-                    block: r.u8()?,
-                    done: r.snap()?,
-                },
-                11 => Event::StallHorizon { until: r.snap()? },
-                12 => Event::Shootdown(r.snap()?),
-                13 => Event::FlushPage(r.snap()?),
-                14 => Event::FlushAll,
-                15 => Event::RecallInv { pa: r.snap()? },
-                16 => Event::Disable,
-                17 => Event::Halt,
-                _ => return Err(SnapError::BadValue("event discriminant")),
-            })
-        }
-    }
-
-    impl Snap for BlockState {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(match self {
-                BlockState::Done => 0,
-                BlockState::WaitTlb => 1,
-                BlockState::WaitL2 => 2,
-            });
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            match r.u8()? {
-                0 => Ok(BlockState::Done),
-                1 => Ok(BlockState::WaitTlb),
-                2 => Ok(BlockState::WaitL2),
-                _ => Err(SnapError::BadValue("block state")),
-            }
-        }
-    }
-
-    impl Snap for OpRun {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.op);
-            w.snap(&self.completion);
-            w.u8(self.pending);
-            for s in &self.state {
-                w.snap(s);
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let op = r.snap()?;
-            let completion = r.snap()?;
-            let pending = r.u8()?;
-            let mut state = [BlockState::Done; BlockList::CAPACITY];
-            for s in &mut state {
-                *s = r.snap()?;
-            }
-            Ok(OpRun {
-                op,
-                completion,
-                pending,
-                state,
-            })
-        }
-    }
-
-    impl Frontend {
-        pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-            w.section(*b"FRNT");
-            self.cu.save_state(w);
-            w.snap(&self.port);
-            w.snap(&self.probe_rng);
-            w.snap(&self.stall_until);
-            w.bool(self.halted);
-            w.bool(self.valve_tripped);
-            w.snap(&self.runs);
-            w.u64(self.ops);
-            w.u64(self.block_accesses);
-            w.u64(self.events);
-            w.snap(&self.last_event);
-            w.u64(self.ev_ready);
-            w.u64(self.ev_issue);
-        }
-
-        /// Overwrites this (freshly built) frontend's exact state from a
-        /// snapshot. `open_stream` yields the wavefront streams by local
-        /// index, per the [`bc_workloads::StreamSource`] determinism
-        /// contract.
-        pub(crate) fn load_state(
-            &mut self,
-            r: &mut SnapReader<'_>,
-            open_stream: impl FnMut(usize) -> Box<dyn AccessStream>,
-        ) -> Result<(), SnapError> {
-            r.section(*b"FRNT")?;
-            self.cu = bc_accel::ComputeUnit::restore_state(r, open_stream)?;
-            self.port = r.snap()?;
-            self.probe_rng = r.snap()?;
-            self.stall_until = r.snap()?;
-            self.halted = r.bool()?;
-            self.valve_tripped = r.bool()?;
-            self.runs = r.snap()?;
-            if self.runs.len() != self.cu.wavefronts.len() {
-                return Err(SnapError::BadValue("frontend run-slot count"));
-            }
-            self.ops = r.u64()?;
-            self.block_accesses = r.u64()?;
-            self.events = r.u64()?;
-            self.last_event = r.snap()?;
-            self.ev_ready = r.u64()?;
-            self.ev_issue = r.u64()?;
-            Ok(())
-        }
-    }
-}

@@ -12,8 +12,6 @@
 //! region with touches of the (shared) workload footprint at a
 //! configurable rate.
 
-use serde::{Deserialize, Serialize};
-
 use bc_cache::set_assoc::{Access, Cache, CacheConfig, LookupResult, Replacement, WritePolicy};
 use bc_mem::addr::PhysAddr;
 use bc_mem::VirtAddr;
@@ -23,7 +21,7 @@ use bc_sim::SimRng;
 /// Host-CPU activity configuration. `None` in [`crate::SystemConfig`]
 /// disables the actor (the paper's kernels run with the host idle; the
 /// actor exists for the coherence studies).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostActivityConfig {
     // bc-lint: allow-file(float) — workload-mix config fractions; each is
     // consumed through SimRng::chance's single exact comparison or converted
@@ -199,43 +197,6 @@ pub enum CpuLookup {
         /// Dirty victim displaced by the fill, if any.
         victim_dirty: Option<PhysAddr>,
     },
-}
-
-/// Snapshot codecs. The activity configuration carries `f64` mix
-/// fractions, so it is never serialized — the restoring system supplies
-/// it from its own (validated-identical) [`crate::SystemConfig`].
-mod snap_impls {
-    use bc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
-
-    use super::{HostActivityConfig, HostCpu};
-
-    impl HostCpu {
-        pub(crate) fn save_state(&self, w: &mut SnapWriter) {
-            w.section(*b"HOST");
-            w.snap(&self.l1);
-            w.snap(&self.l2);
-            w.snap(&self.rng);
-            w.snap(&self.accesses);
-            w.snap(&self.shared_touches);
-            w.snap(&self.recalls_from_gpu);
-        }
-
-        pub(crate) fn restore_state(
-            config: HostActivityConfig,
-            r: &mut SnapReader<'_>,
-        ) -> Result<Self, SnapError> {
-            r.section(*b"HOST")?;
-            Ok(HostCpu {
-                config,
-                l1: r.snap()?,
-                l2: r.snap()?,
-                rng: r.snap()?,
-                accesses: r.snap()?,
-                shared_touches: r.snap()?,
-                recalls_from_gpu: r.snap()?,
-            })
-        }
-    }
 }
 
 #[cfg(test)]

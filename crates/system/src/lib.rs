@@ -33,5 +33,5 @@ pub use config::{GpuClass, SystemConfig};
 pub use host::{CpuLookup, HostActivityConfig, HostCpu};
 pub use report::{AbortReason, HotProfile, RunReport};
 pub use safety::{table1, SafetyModel, Table1Row};
-pub use system::{warm_key, BuildError, RestoreError, System};
+pub use system::{BuildError, System};
 pub use tenants::{MultiTenantSystem, TenantsConfig, TenantsReport};

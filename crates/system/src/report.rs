@@ -5,8 +5,6 @@
 // display/JSON after the engine has stopped; nothing reads them back.
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use bc_os::Violation;
 use bc_sim::audit::AuditReport;
 use bc_sim::stats::StatsTable;
@@ -15,7 +13,7 @@ use bc_sim::stats::StatsTable;
 /// `aborted` flag conflated "Border Control killed the process" with
 /// "the simulation's cycle valve tripped" — very different outcomes for
 /// the attacks binary and for sweep error triage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AbortReason {
     /// A violation under the `KillProcess` policy terminated the process.
     ViolationKill,
@@ -56,28 +54,10 @@ impl fmt::Display for AbortReason {
     }
 }
 
-impl bc_sim::snapshot::Snap for AbortReason {
-    fn save(&self, w: &mut bc_sim::snapshot::SnapWriter) {
-        w.u8(match self {
-            AbortReason::ViolationKill => 0,
-            AbortReason::CycleLimit => 1,
-            AbortReason::FatalOsError => 2,
-        });
-    }
-    fn load(r: &mut bc_sim::snapshot::SnapReader<'_>) -> Result<Self, bc_sim::snapshot::SnapError> {
-        match r.u8()? {
-            0 => Ok(AbortReason::ViolationKill),
-            1 => Ok(AbortReason::CycleLimit),
-            2 => Ok(AbortReason::FatalOsError),
-            _ => Err(bc_sim::snapshot::SnapError::BadValue("abort reason")),
-        }
-    }
-}
-
 /// Hot-path profile from a run, populated only when the `hotprof`
 /// feature is compiled in (the struct itself is always present so the
 /// report's shape does not depend on features).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HotProfile {
     /// Scheduler dispatches by event kind:
     /// (wavefront-ready, issue-op, downgrade, cpu-tick).
@@ -93,7 +73,7 @@ pub struct HotProfile {
 }
 
 /// The result of one full-system run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Configuration labels for bookkeeping.
     pub safety: String,
@@ -118,8 +98,9 @@ pub struct RunReport {
     /// Whether the accelerator was fenced off by the
     /// `DisableAccelerator` policy (the process survives on the CPU).
     pub accel_disabled: bool,
-    /// Violations Border Control reported.
-    #[serde(skip)]
+    /// Violations Border Control reported. Not serialized by
+    /// [`RunReport::to_json`], so a report decoded from the result store
+    /// has this empty.
     pub violations: Vec<Violation>,
     /// Count of violations (survives serialization).
     pub violation_count: u64,
@@ -197,10 +178,9 @@ impl RunReport {
 
     /// Serializes the report as deterministic, human-diffable JSON.
     ///
-    /// The vendored `serde` stand-in renders Debug output rather than
-    /// real JSON, so the golden-report snapshots under `tests/goldens/`
-    /// use this hand-rolled serializer instead. Field order is fixed and
-    /// `violations` is omitted, mirroring its `#[serde(skip)]`.
+    /// This hand-rolled serializer is the format the golden-report
+    /// snapshots under `tests/goldens/` pin. Field order is fixed and
+    /// `violations` is omitted (`violation_count` carries the count).
     #[must_use]
     pub fn to_json(&self) -> String {
         fn esc(s: &str) -> String {

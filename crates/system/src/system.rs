@@ -16,8 +16,7 @@ use bc_os::{
     Kernel, KernelConfig, OsError, ShootdownRequest, ShootdownScope, Violation, ViolationPolicy,
 };
 use bc_sim::audit::Auditor;
-use bc_sim::executor::{CompId, ExecRun, Executor, Handler, Outbox, PendingEvent};
-use bc_sim::snapshot::{SnapError, SnapReader, SnapWriter};
+use bc_sim::executor::{CompId, ExecRun, Executor, Handler, Outbox};
 use bc_sim::trace::{TraceKind, Tracer};
 use bc_sim::{Cycle, SimRng};
 use bc_workloads::{by_name, BlockAccess, BASE_VA};
@@ -101,16 +100,6 @@ fn split_footprint(pages: u64, writable_fraction: f64) -> (u64, u64) {
 pub struct System {
     pub(crate) back: Backend,
     pub(crate) frontends: Vec<Frontend>,
-    /// Engine calendar captured at a warm-start cut ([`System::restore`]),
-    /// consumed by the next [`System::run`] instead of fresh seeding.
-    resume: Option<ResumeState>,
-}
-
-/// The executor's pending calendar at a warm-start cut, with the
-/// `(src, seq)` dispatch keys that fix its same-cycle order.
-struct ResumeState {
-    pending: Vec<PendingEvent<Event>>,
-    out_seqs: Vec<u64>,
 }
 
 /// The shared side of the machine (plus, for centralized safety models,
@@ -1575,9 +1564,9 @@ impl System {
     }
 
     /// As [`System::build`], drawing every wavefront's op stream from
-    /// `source` instead of live synthesis — e.g. a compiled-trace CAS
-    /// (`bc_trace::TraceDir`). The source's determinism contract
-    /// guarantees the run is byte-identical to the live-synthesis run.
+    /// `source` instead of live synthesis. The source's determinism
+    /// contract guarantees the run is byte-identical to the
+    /// live-synthesis run.
     ///
     /// # Errors
     ///
@@ -1606,11 +1595,7 @@ impl System {
                 frontends.push(Frontend::new(i, n, cu, &params));
             }
         }
-        Ok(System {
-            back,
-            frontends,
-            resume: None,
-        })
+        Ok(System { back, frontends })
     }
 
     /// The kernel (for examples that stage data or inspect memory).
@@ -1675,128 +1660,11 @@ impl System {
         self.back.report(&self.frontends)
     }
 
-    /// Runs the machine up to (never beyond) `cut`, then serializes the
-    /// complete simulator state — every component plus the engine's
-    /// pending calendar — as a versioned warm-start snapshot. Restoring
-    /// the bytes ([`System::restore`]) and continuing produces a run
-    /// byte-identical to one that never paused.
-    ///
-    /// After this call the system holds the post-cut component state but
-    /// its calendar has been drained into the snapshot: to continue the
-    /// run, restore the returned bytes rather than calling
-    /// [`System::run`] on this instance.
-    pub fn snapshot_to(&mut self, cut: Cycle, code_rev: &str) -> Vec<u8> {
-        let mut exec = self.primed_executor();
-        let run = exec.run_until(&mut self.machine(), cut);
-        self.absorb_engine_telemetry(&run);
-        let pending = exec.drain_pending();
-        let out_seqs = exec.out_seqs().to_vec();
-
-        let mut w = SnapWriter::with_header(code_rev);
-        w.str(&warm_key(&self.back.config));
-        self.back.save_state(&mut w);
-        w.usize(self.frontends.len());
-        for f in &self.frontends {
-            f.save_state(&mut w);
-        }
-        w.usize(pending.len());
-        for p in &pending {
-            w.usize(p.comp);
-            w.snap(&p.at);
-            w.u32(p.src);
-            w.u64(p.seq);
-            w.snap(&p.ev);
-        }
-        w.snap(&out_seqs);
-        w.into_bytes()
-    }
-
-    /// Rebuilds a system from a [`System::snapshot_to`] buffer and primes
-    /// it to continue exactly where the snapshot cut: the next
-    /// [`System::run`] restores the serialized calendar instead of
-    /// seeding a fresh one. `config` must match the snapshotting config
-    /// in every field; `source` re-opens every wavefront's
-    /// op stream under the [`bc_workloads::StreamSource`] determinism
-    /// contract.
-    ///
-    /// # Errors
-    ///
-    /// [`RestoreError::Build`] when the structural machine cannot be
-    /// rebuilt, [`RestoreError::Snapshot`] on malformed or stale bytes,
-    /// [`RestoreError::ConfigMismatch`] when the snapshot was taken
-    /// under a different configuration.
-    pub fn restore(
-        config: &SystemConfig,
-        bytes: &[u8],
-        code_rev: &str,
-        source: &dyn bc_workloads::StreamSource,
-    ) -> Result<Self, RestoreError> {
-        let mut sys = System::build_with_source(config, source)?;
-        let mut r = SnapReader::with_header(bytes, code_rev)?;
-        if r.string()? != warm_key(config) {
-            return Err(RestoreError::ConfigMismatch);
-        }
-        let workload = by_name(&config.workload, config.size)
-            .ok_or_else(|| BuildError::UnknownWorkload(config.workload.clone()))?;
-        sys.back.load_state(&mut r, source, workload.as_ref())?;
-
-        let nf = r.usize()?;
-        if nf != sys.frontends.len() {
-            return Err(SnapError::BadValue("frontend count").into());
-        }
-        let gc = config.effective_gpu_config();
-        let total_wfs = (gc.compute_units * gc.wavefronts_per_cu) as u32;
-        for (i, f) in sys.frontends.iter_mut().enumerate() {
-            let base = (i * gc.wavefronts_per_cu) as u32;
-            f.load_state(&mut r, |local| {
-                source.open_stream(
-                    workload.as_ref(),
-                    base + local as u32,
-                    total_wfs,
-                    config.seed,
-                )
-            })?;
-        }
-
-        let components = sys.frontends.len() + 1;
-        let np = r.usize()?;
-        if np > r.remaining() {
-            return Err(SnapError::Truncated.into());
-        }
-        let mut pending = Vec::with_capacity(np);
-        for _ in 0..np {
-            let comp = r.usize()?;
-            if comp >= components {
-                return Err(SnapError::BadValue("pending event component").into());
-            }
-            pending.push(PendingEvent {
-                comp,
-                at: r.snap()?,
-                src: r.u32()?,
-                seq: r.u64()?,
-                ev: r.snap()?,
-            });
-        }
-        let out_seqs: Vec<u64> = r.snap()?;
-        if out_seqs.len() != components {
-            return Err(SnapError::BadValue("out-seq count").into());
-        }
-        r.finish()?;
-        sys.resume = Some(ResumeState { pending, out_seqs });
-        Ok(sys)
-    }
-
-    /// A fresh executor holding this machine's initial calendar: the
-    /// serialized warm-start calendar when one is staged, the serial
-    /// seeding order otherwise.
+    /// A fresh executor holding this machine's initial calendar in the
+    /// serial seeding order.
     fn primed_executor(&mut self) -> Executor<Event> {
         let back_comp = self.frontends.len();
         let mut exec = Executor::new(back_comp + 1, self.back.lookahead);
-        if let Some(rs) = self.resume.take() {
-            exec.restore_pending(rs.pending);
-            exec.set_out_seqs(&rs.out_seqs);
-            return exec;
-        }
         if self.frontends.is_empty() {
             for cu in 0..self.back.gpu.cus.len() {
                 for wf in 0..self.back.gpu.cus[cu].wavefronts.len() {
@@ -1844,192 +1712,6 @@ impl System {
                 Some(a) => a.queue_pop_order(prev, at),
                 None => panic!("event queue popped cycle {at} after already popping {prev}"),
             }
-        }
-    }
-}
-
-/// Canonical configuration identity for warm-start checkpoints: every
-/// field of the config. The rendering is compared for equality only,
-/// never parsed.
-#[must_use]
-pub fn warm_key(config: &SystemConfig) -> String {
-    format!("{config:?}")
-}
-
-/// Errors from [`System::restore`].
-#[derive(Debug)]
-pub enum RestoreError {
-    /// Rebuilding the structural machine failed.
-    Build(BuildError),
-    /// The snapshot bytes are malformed, truncated, or from a different
-    /// code revision.
-    Snapshot(SnapError),
-    /// The snapshot was taken under a different configuration.
-    ConfigMismatch,
-}
-
-impl fmt::Display for RestoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RestoreError::Build(e) => write!(f, "rebuilding machine: {e}"),
-            RestoreError::Snapshot(e) => write!(f, "decoding snapshot: {e}"),
-            RestoreError::ConfigMismatch => {
-                f.write_str("snapshot was taken under a different configuration")
-            }
-        }
-    }
-}
-
-impl Error for RestoreError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            RestoreError::Build(e) => Some(e),
-            RestoreError::Snapshot(e) => Some(e),
-            RestoreError::ConfigMismatch => None,
-        }
-    }
-}
-
-impl From<BuildError> for RestoreError {
-    fn from(e: BuildError) -> Self {
-        RestoreError::Build(e)
-    }
-}
-
-impl From<SnapError> for RestoreError {
-    fn from(e: SnapError) -> Self {
-        RestoreError::Snapshot(e)
-    }
-}
-
-/// Snapshot codec for the backend. Config-derived fields (the config
-/// itself, footprint geometry, lookahead, component counts) are rebuilt
-/// by [`Backend::build`] at restore; transients (`outgoing`,
-/// `flush_scratch`) are empty at any cut by construction; everything the
-/// run mutates is serialized exactly. The hot-profile event counters are
-/// always written as four words so the byte format is independent of the
-/// `hotprof` feature.
-mod backend_snapshot {
-    use super::*;
-
-    impl Backend {
-        pub(super) fn save_state(&self, w: &mut SnapWriter) {
-            debug_assert!(
-                self.outgoing.is_empty(),
-                "dispatch in progress at snapshot cut"
-            );
-            w.section(*b"SYS0");
-            w.snap(&self.kernel);
-            w.snap(&self.dram);
-            w.snap(&self.ats);
-            w.snap(&self.bc);
-            self.gpu.save_state(w);
-            w.snap(&self.asid);
-            w.snap(&self.now);
-            w.snap(&self.stall_until);
-            w.u64(self.ops);
-            w.u64(self.block_accesses);
-            w.u64(self.events_dispatched);
-            w.snap(&self.violations);
-            w.bool(self.aborted);
-            w.snap(&self.abort_reason);
-            w.bool(self.accel_disabled);
-            w.u64(self.downgrades_done);
-            w.u64(self.probes_attempted);
-            w.u64(self.probes_blocked);
-            w.u64(self.probes_succeeded);
-            w.snap(&self.rng);
-            w.snap(&self.iommu_port);
-            w.snap(&self.l2_port);
-            w.snap(&self.cu_ports);
-            w.usize(self.wb_queue.len());
-            for c in &self.wb_queue {
-                w.snap(c);
-            }
-            w.snap(&self.l2_mshr);
-            w.snap(&self.tracer);
-            match &self.host {
-                Some(h) => {
-                    w.bool(true);
-                    h.save_state(w);
-                }
-                None => w.bool(false),
-            }
-            w.snap(&self.auditor);
-            w.u64(self.done_wfs);
-            w.snap(&self.fill_horizon);
-            w.u32(self.pending_commits);
-            w.snap(&self.deferred_translates);
-            #[cfg(feature = "hotprof")]
-            for c in self.event_counts {
-                w.u64(c);
-            }
-            #[cfg(not(feature = "hotprof"))]
-            for _ in 0..4 {
-                w.u64(0);
-            }
-        }
-
-        pub(super) fn load_state(
-            &mut self,
-            r: &mut SnapReader<'_>,
-            source: &dyn bc_workloads::StreamSource,
-            workload: &dyn bc_workloads::Workload,
-        ) -> Result<(), SnapError> {
-            r.section(*b"SYS0")?;
-            self.kernel = r.snap()?;
-            self.dram = r.snap()?;
-            self.ats = r.snap()?;
-            self.bc = r.snap()?;
-            let seed = self.config.seed;
-            self.gpu =
-                Gpu::restore_state(r, |wf, total| source.open_stream(workload, wf, total, seed))?;
-            self.asid = r.snap()?;
-            self.now = r.snap()?;
-            self.stall_until = r.snap()?;
-            self.ops = r.u64()?;
-            self.block_accesses = r.u64()?;
-            self.events_dispatched = r.u64()?;
-            self.violations = r.snap()?;
-            self.aborted = r.bool()?;
-            self.abort_reason = r.snap()?;
-            self.accel_disabled = r.bool()?;
-            self.downgrades_done = r.u64()?;
-            self.probes_attempted = r.u64()?;
-            self.probes_blocked = r.u64()?;
-            self.probes_succeeded = r.u64()?;
-            self.rng = r.snap()?;
-            self.iommu_port = r.snap()?;
-            self.l2_port = r.snap()?;
-            self.cu_ports = r.snap()?;
-            let n = r.usize()?;
-            if n > r.remaining() {
-                return Err(SnapError::Truncated);
-            }
-            self.wb_queue = (0..n)
-                .map(|_| r.snap())
-                .collect::<Result<std::collections::VecDeque<_>, _>>()?;
-            self.l2_mshr = r.snap()?;
-            self.tracer = r.snap()?;
-            let has_host = r.bool()?;
-            self.host = match (has_host, self.config.host_activity) {
-                (true, Some(cfg)) => Some(HostCpu::restore_state(cfg, r)?),
-                (false, None) => None,
-                _ => return Err(SnapError::BadValue("host actor presence mismatch")),
-            };
-            self.auditor = r.snap()?;
-            self.done_wfs = r.u64()?;
-            self.fill_horizon = r.snap()?;
-            self.pending_commits = r.u32()?;
-            self.deferred_translates = r.snap()?;
-            let counts = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-            #[cfg(feature = "hotprof")]
-            {
-                self.event_counts = counts;
-            }
-            #[cfg(not(feature = "hotprof"))]
-            let _ = counts;
-            Ok(())
         }
     }
 }

@@ -240,13 +240,10 @@ pub trait Workload {
 /// Where a simulated system obtains its per-wavefront access streams.
 ///
 /// The default, [`LiveSynthesis`], calls [`Workload::make_stream`] inline
-/// — the generator runs during simulation. `bc-trace` supplies an
-/// alternative source that replays a compiled trace file instead, and the
-/// snapshot restore path re-opens streams through the same source so a
-/// warm-started run consumes ops from exactly the stream a
-/// straight-through run would have used. Implementations must be
-/// deterministic: the same `(workload.name(), wf, total_wfs, seed)`
-/// coordinate must always yield a stream producing the same op sequence.
+/// — the generator runs during simulation. Other sources (for example
+/// an instrumented wrapper that counts ops) must be deterministic: the
+/// same `(workload.name(), wf, total_wfs, seed)` coordinate must always
+/// yield a stream producing the same op sequence.
 pub trait StreamSource: Send + Sync {
     /// Opens the stream for wavefront `wf` of `total_wfs`, seeded with the
     /// run's workload seed.
@@ -258,7 +255,7 @@ pub trait StreamSource: Send + Sync {
         seed: u64,
     ) -> Box<dyn AccessStream>;
 
-    /// Stable label for reports and diagnostics (`"live"`, `"trace"`).
+    /// Stable label for reports and diagnostics (`"live"`).
     fn label(&self) -> &'static str {
         "live"
     }
@@ -287,7 +284,7 @@ pub const BASE_VA: u64 = 0x1000_0000;
 
 /// Problem scaling, so tests stay fast while experiments run at the
 /// reference size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadSize {
     /// A few thousand accesses per wavefront-set; unit/integration tests.
     Tiny,
@@ -349,60 +346,6 @@ pub fn rodinia_suite(size: WorkloadSize) -> Vec<Box<dyn Workload>> {
 #[must_use]
 pub fn by_name(name: &str, size: WorkloadSize) -> Option<Box<dyn Workload>> {
     rodinia_suite(size).into_iter().find(|w| w.name() == name)
-}
-
-/// Snapshot codecs for the op types, so an in-flight [`WarpOp`] parked in
-/// a wavefront context can ride along in a simulator snapshot.
-mod snap_impls {
-    use bc_sim::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
-
-    use super::{BlockAccess, BlockList, WarpOp};
-
-    impl Snap for BlockAccess {
-        fn save(&self, w: &mut SnapWriter) {
-            w.snap(&self.va);
-            w.bool(self.write);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(BlockAccess {
-                va: r.snap()?,
-                write: r.bool()?,
-            })
-        }
-    }
-
-    impl Snap for BlockList {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u8(self.len);
-            for access in self.as_slice() {
-                w.snap(access);
-            }
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            let len = r.u8()?;
-            if len as usize > BlockList::CAPACITY {
-                return Err(SnapError::BadValue("block list length"));
-            }
-            let mut list = BlockList::new();
-            for _ in 0..len {
-                list.push(r.snap()?);
-            }
-            Ok(list)
-        }
-    }
-
-    impl Snap for WarpOp {
-        fn save(&self, w: &mut SnapWriter) {
-            w.u64(self.think);
-            w.snap(&self.blocks);
-        }
-        fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-            Ok(WarpOp {
-                think: r.u64()?,
-                blocks: r.snap()?,
-            })
-        }
-    }
 }
 
 #[cfg(test)]

@@ -20,6 +20,8 @@
 
 use std::path::PathBuf;
 
+use bc_experiments::cas::Cas;
+use bc_experiments::schema;
 use bc_system::{GpuClass, SafetyModel, System, SystemConfig};
 use bc_workloads::WorkloadSize;
 
@@ -93,30 +95,39 @@ fn tiny_run_reports_match_goldens() {
     }
 }
 
-/// The same ten configurations, run through the snapshot/warm-start path
-/// — simulate to a mid-run cut, serialize, restore from the bytes, finish
-/// — must reproduce the committed goldens byte-for-byte. This pins the
-/// warm-start acceptance criterion directly against the canonical
-/// reports rather than against a second straight run.
+/// The same ten configurations, run through the result store: a cold
+/// pass simulates and files every report, a second pass must be served
+/// entirely from the store, and the decoded-then-re-encoded report must
+/// reproduce the committed golden byte-for-byte — a hit never changes an
+/// answer.
 #[test]
-fn tiny_run_reports_match_goldens_through_warm_start() {
+fn tiny_run_reports_match_goldens_through_the_result_cache() {
     if std::env::var_os("BLESS").is_some() {
         return; // goldens may be mid-rewrite under the straight-run test
     }
-    const REV: &str = "goldens-warm-start";
-    for safety in SafetyModel::ALL {
-        for workload in ["nn", "bfs"] {
-            let config = tiny(safety, workload);
-            let bytes = System::build(&config)
-                .expect("tiny config builds")
-                .snapshot_to(bc_sim::Cycle::new(2_500), REV);
-            let report = System::restore(&config, &bytes, REV, &bc_workloads::LiveSynthesis)
-                .expect("snapshot restores")
-                .run();
-            let name = format!("tiny_{}_{}.json", slug(safety.label()), workload);
-            check(&name, &report.to_json());
+    // The PID only namespaces a scratch directory; nothing simulated
+    // depends on it.
+    let dir = std::env::temp_dir().join(format!("bc-goldens-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cas = Cas::open(&dir).unwrap();
+    for pass in ["cold", "hit"] {
+        for safety in SafetyModel::ALL {
+            for workload in ["nn", "bfs"] {
+                let config = tiny(safety, workload);
+                let memo = cas
+                    .memo(&Cas::key_for(&config), || {
+                        System::build(&config).map(|mut s| s.run())
+                    })
+                    .expect("tiny config builds");
+                assert_eq!(memo.hit, pass == "hit", "{pass} pass, {workload}");
+                let name = format!("tiny_{}_{}.json", slug(safety.label()), workload);
+                check(&name, &schema::encode_report(&memo.report));
+            }
         }
     }
+    let stats = cas.stats();
+    assert_eq!((stats.puts, stats.hits, stats.corrupt), (10, 10, 0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The same ten configurations with the runtime invariant auditor on:
