@@ -182,19 +182,6 @@ pub struct Cache {
     index_armed: bool,
     /// Recycled slot lists, so steady-state index churn never allocates.
     spare_lists: Vec<Vec<u32>>,
-    #[cfg(feature = "hotprof")]
-    prof: CacheProfile,
-}
-
-/// Hot-path profile counters (compiled in under the `hotprof` feature).
-#[cfg(feature = "hotprof")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheProfile {
-    /// Page flushes performed.
-    pub page_flushes: u64,
-    /// Total lines visited across all page flushes (with the resident
-    /// index this equals lines actually evicted, not sets × ways).
-    pub flush_scan_lines: u64,
 }
 
 impl Cache {
@@ -217,16 +204,7 @@ impl Cache {
             page_index: FxHashMap::default(),
             index_armed: false,
             spare_lists: Vec::new(),
-            #[cfg(feature = "hotprof")]
-            prof: CacheProfile::default(),
         }
-    }
-
-    /// Hot-path profile counters.
-    #[cfg(feature = "hotprof")]
-    #[must_use]
-    pub fn profile(&self) -> CacheProfile {
-        self.prof
     }
 
     /// Records `slot` as caching a block of page `ppn`.
@@ -470,21 +448,12 @@ impl Cache {
             }
         }
         let Some(mut slots) = self.page_index.remove(&ppn.as_u64()) else {
-            #[cfg(feature = "hotprof")]
-            {
-                self.prof.page_flushes += 1;
-            }
             return;
         };
         // The index records fill order; the legacy scan emitted set-major,
         // way-ascending — i.e. ascending flat slot. Sort to preserve the
         // exact eviction (and thus writeback-timing) order.
         slots.sort_unstable();
-        #[cfg(feature = "hotprof")]
-        {
-            self.prof.page_flushes += 1;
-            self.prof.flush_scan_lines += slots.len() as u64;
-        }
         for &slot in &slots {
             let line = self.lines[slot as usize];
             debug_assert!(line.valid, "page index held an invalid slot");

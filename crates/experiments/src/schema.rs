@@ -38,9 +38,7 @@ use bc_iommu::AtsConfig;
 use bc_mem::{DramConfig, MemBackend};
 use bc_os::ViolationPolicy;
 use bc_sim::audit::{AuditFinding, AuditKind, AuditReport};
-use bc_system::{
-    AbortReason, GpuClass, HostActivityConfig, HotProfile, RunReport, SafetyModel, SystemConfig,
-};
+use bc_system::{AbortReason, GpuClass, HostActivityConfig, RunReport, SafetyModel, SystemConfig};
 use bc_workloads::WorkloadSize;
 
 pub mod json;
@@ -341,18 +339,6 @@ impl<'a> Obj<'a> {
         })
     }
 
-    /// Like [`Obj::get`] but absent is `None` (report-side optional
-    /// fields such as `hot_profile`).
-    fn get_opt(&mut self, key: &'static str) -> Option<&'a Value> {
-        for (i, (k, v)) in self.entries.iter().enumerate() {
-            if k == key {
-                self.used[i] = true;
-                return Some(v);
-            }
-        }
-        None
-    }
-
     fn u64(&mut self, key: &'static str) -> Result<u64, SchemaError> {
         let value = self.get(key)?;
         value.as_u64().ok_or_else(|| SchemaError::WrongType {
@@ -646,34 +632,6 @@ fn decode_audit(v: &Value) -> Result<Option<AuditReport>, SchemaError> {
     }))
 }
 
-fn decode_hot_profile(v: &Value) -> Result<HotProfile, SchemaError> {
-    let mut obj = Obj::new("hot_profile", v)?;
-    let counts_value = obj.get("event_counts")?;
-    let err = || SchemaError::WrongType {
-        field: "hot_profile.event_counts".to_string(),
-        want: "an array of four unsigned integers",
-    };
-    let Value::Array(items) = counts_value else {
-        return Err(err());
-    };
-    if items.len() != 4 {
-        return Err(err());
-    }
-    let mut counts = [0u64; 4];
-    for (slot, item) in counts.iter_mut().zip(items) {
-        *slot = item.as_u64().ok_or_else(err)?;
-    }
-    let out = HotProfile {
-        event_counts: (counts[0], counts[1], counts[2], counts[3]),
-        store_fast_hits: obj.u64("store_fast_hits")?,
-        store_slow_hits: obj.u64("store_slow_hits")?,
-        page_flushes: obj.u64("page_flushes")?,
-        flush_scan_lines: obj.u64("flush_scan_lines")?,
-    };
-    obj.finish()?;
-    Ok(out)
-}
-
 /// Decodes a serialized report ([`RunReport::to_json`] / the golden
 /// snapshot format) back into a [`RunReport`]. The `violations` vector is
 /// not serialized ([`RunReport::to_json`] omits it) and decodes empty;
@@ -753,10 +711,6 @@ pub fn decode_report(text: &str) -> Result<RunReport, SchemaError> {
         }
     };
     let audit = decode_audit(obj.get("audit")?)?;
-    let hot_profile = match obj.get_opt("hot_profile") {
-        None => None,
-        Some(v) => Some(decode_hot_profile(v)?),
-    };
     obj.finish()?;
 
     Ok(RunReport {
@@ -787,7 +741,6 @@ pub fn decode_report(text: &str) -> Result<RunReport, SchemaError> {
         probes,
         host,
         audit,
-        hot_profile,
     })
 }
 

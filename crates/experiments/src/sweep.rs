@@ -99,7 +99,7 @@ impl Default for SweepOptions {
 
 impl SweepOptions {
     /// Quiet options with an explicit worker count (used by tests and
-    /// benches) and no result store.
+    /// the benchmark) and no result store.
     #[must_use]
     pub fn with_jobs(jobs: usize) -> Self {
         SweepOptions {
@@ -689,19 +689,34 @@ mod tests {
         let summary = warm.summary().to_string();
         assert!(summary.contains("cache hits"));
 
-        // A torn object and a digest-valid one that is not a report are
-        // both misses: recomputed, never served, and re-filed.
+        // A torn object, a digest-valid one that is not a report, and a
+        // cold report carrying a field no build writes any more (the
+        // retired `hot_profile` profile) are all misses: recomputed, never
+        // served, and re-filed.
         let keys: Vec<String> = m.cells().iter().map(|c| Cas::key_for(&c.config)).collect();
         let torn = dir.join(&keys[0]);
         let bytes = std::fs::read(&torn).expect("object reads");
         std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("truncates");
         cas.put(&keys[1], "{\"not\": \"a report\"}").expect("put");
+        let cold_payload = cas.get(&keys[2]).expect("cold object reads");
+        let retired = cold_payload
+            .strip_suffix("\n}\n")
+            .expect("report ends in }")
+            .to_string()
+            + ",\n  \"hot_profile\": {\"event_counts\": [1, 2, 3, 4], \"store_fast_hits\": 5, \
+               \"store_slow_hits\": 6, \"page_flushes\": 7, \"flush_scan_lines\": 8}\n}\n";
+        cas.put(&keys[2], &retired).expect("put");
         let before = cas.stats();
         let healed = m.run(&opts);
-        assert_eq!(healed.cache, Some((2, 2)));
-        assert_eq!(cas.stats().corrupt - before.corrupt, 2);
+        assert_eq!(healed.cache, Some((1, 3)));
+        assert_eq!(cas.stats().corrupt - before.corrupt, 3);
         assert_eq!(report_bytes(&plain), report_bytes(&healed));
-        assert_eq!(m.run(&opts).cache, Some((4, 0)), "both re-filed");
+        assert_eq!(m.run(&opts).cache, Some((4, 0)), "all three re-filed");
+        assert_eq!(
+            cas.get(&keys[2]),
+            Some(cold_payload),
+            "re-filed as the cold bytes"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,10 @@
 //! Shared matrix plumbing for the multi-tenant scheduler experiment.
 //!
-//! The `tenants` binary, the determinism suite and the `tenants` bench
-//! all sweep the same grid — memory backends crossed with a base
-//! [`TenantsConfig`] — through this module, so "the binary's numbers",
-//! "the bytes the determinism test compares" and "the bench's JSON" are
-//! one code path.
+//! The `tenants` binary, the determinism suite and perfbench's
+//! `tenants-n1000` workload all sweep the same grid — memory backends
+//! crossed with a base [`TenantsConfig`] — through this module, so "the
+//! binary's numbers", "the bytes the determinism test compares" and "the
+//! JSON the benchmark times" are one code path.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -72,7 +72,7 @@ pub fn run_tenants_cells(cells: &[TenantsCell], jobs: usize) -> Vec<(String, Ten
 
 /// Concatenates the cells' reports into one deterministic JSON document
 /// keyed by label — the byte-equality surface for the determinism suite
-/// and the bench artifact.
+/// and the `tenants --json` output.
 #[must_use]
 pub fn tenants_matrix_json(results: &[(String, TenantsReport)]) -> String {
     let body = results

@@ -128,7 +128,7 @@ fn all_binary_matrices_are_jobs_independent() {
 /// The `tenants` binary's production matrix at its production scale —
 /// 1000 tenants over 4 accelerators, both memory backends — emits a
 /// byte-identical JSON document at `--jobs 1` and `--jobs 4`. This is the
-/// document the bench artifact records, so a scheduling leak anywhere in
+/// document `tenants --json` prints, so a scheduling leak anywhere in
 /// the scheduler/teardown/storm machinery fails here as a byte diff.
 #[test]
 fn tenants_matrix_is_jobs_independent() {

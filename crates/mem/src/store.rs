@@ -68,21 +68,6 @@ pub struct PhysMemStore {
     /// appended to `accel_writes` for the audit layer to drain.
     log_accel_writes: bool,
     accel_writes: Vec<Ppn>,
-    /// `Cell`s so `&self` read paths can count without threading `&mut`.
-    #[cfg(feature = "hotprof")]
-    prof_fast_hits: std::cell::Cell<u64>,
-    #[cfg(feature = "hotprof")]
-    prof_slow_hits: std::cell::Cell<u64>,
-}
-
-/// Hot-path profile counters (compiled in under the `hotprof` feature).
-#[cfg(feature = "hotprof")]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StoreProfile {
-    /// Page lookups served by the dense slot table.
-    pub fast_hits: u64,
-    /// Page lookups that fell back to the sparse map.
-    pub slow_hits: u64,
 }
 
 /// Who issued a functional-memory write. The timing model does not care,
@@ -160,19 +145,12 @@ impl PhysMemStore {
     fn page_ref(&self, ppn: Ppn) -> Option<&[u8]> {
         let idx = usize::try_from(ppn.as_u64()).unwrap_or(usize::MAX);
         match self.slots.get(idx) {
-            Some(&NO_SLOT) => {
-                self.prof_fast();
-                None
-            }
+            Some(&NO_SLOT) => None,
             Some(&slot) => {
-                self.prof_fast();
                 let base = slot as usize * PAGE;
                 Some(&self.arena[base..base + PAGE])
             }
-            None => {
-                self.prof_slow();
-                self.sparse.get(&ppn).map(|p| &p[..])
-            }
+            None => self.sparse.get(&ppn).map(|p| &p[..]),
         }
     }
 
@@ -180,7 +158,6 @@ impl PhysMemStore {
     fn page_mut(&mut self, ppn: Ppn) -> &mut [u8] {
         let idx = usize::try_from(ppn.as_u64()).unwrap_or(usize::MAX);
         if let Some(slot) = self.slots.get(idx).copied() {
-            self.prof_fast();
             let slot = if slot == NO_SLOT {
                 let s = self.materialize_slot();
                 self.slots[idx] = s;
@@ -192,7 +169,6 @@ impl PhysMemStore {
             let base = slot as usize * PAGE;
             &mut self.arena[base..base + PAGE]
         } else {
-            self.prof_slow();
             self.sparse
                 .entry(ppn)
                 .or_insert_with(|| vec![0u8; PAGE].into_boxed_slice())
@@ -212,28 +188,6 @@ impl PhysMemStore {
                 self.arena.resize(self.arena.len() + PAGE, 0);
                 s
             }
-        }
-    }
-
-    #[inline]
-    fn prof_fast(&self) {
-        #[cfg(feature = "hotprof")]
-        self.prof_fast_hits.set(self.prof_fast_hits.get() + 1);
-    }
-
-    #[inline]
-    fn prof_slow(&self) {
-        #[cfg(feature = "hotprof")]
-        self.prof_slow_hits.set(self.prof_slow_hits.get() + 1);
-    }
-
-    /// Hot-path profile counters.
-    #[cfg(feature = "hotprof")]
-    #[must_use]
-    pub fn profile(&self) -> StoreProfile {
-        StoreProfile {
-            fast_hits: self.prof_fast_hits.get(),
-            slow_hits: self.prof_slow_hits.get(),
         }
     }
 

@@ -190,8 +190,6 @@ pub(crate) struct Frontend {
     pub(crate) block_accesses: u64,
     pub(crate) events: u64,
     pub(crate) last_event: Cycle,
-    pub(crate) ev_ready: u64,
-    pub(crate) ev_issue: u64,
 }
 
 /// Run-wide constants shared by every frontend at construction.
@@ -237,8 +235,6 @@ impl Frontend {
             block_accesses: 0,
             events: 0,
             last_event: Cycle::ZERO,
-            ev_ready: 0,
-            ev_issue: 0,
         }
     }
 
@@ -259,12 +255,10 @@ impl Frontend {
         match ev {
             Event::WavefrontReady { wf, .. } => {
                 self.count(now);
-                self.ev_ready += 1;
                 self.ready(now, wf, out);
             }
             Event::IssueOp { wf, .. } => {
                 self.count(now);
-                self.ev_issue += 1;
                 self.issue(now, wf, out);
             }
             Event::TlbFill { entry } => {

@@ -54,24 +54,6 @@ impl fmt::Display for AbortReason {
     }
 }
 
-/// Hot-path profile from a run, populated only when the `hotprof`
-/// feature is compiled in (the struct itself is always present so the
-/// report's shape does not depend on features).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HotProfile {
-    /// Scheduler dispatches by event kind:
-    /// (wavefront-ready, issue-op, downgrade, cpu-tick).
-    pub event_counts: (u64, u64, u64, u64),
-    /// Functional-store page lookups served by the dense slab.
-    pub store_fast_hits: u64,
-    /// Functional-store page lookups that fell back to the sparse map.
-    pub store_slow_hits: u64,
-    /// Selective page flushes across all accelerator caches.
-    pub page_flushes: u64,
-    /// Total lines visited by those flushes (resident-index scan work).
-    pub flush_scan_lines: u64,
-}
-
 /// The result of one full-system run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -87,8 +69,8 @@ pub struct RunReport {
     pub ops: u64,
     /// Coalesced block accesses issued by the GPU.
     pub block_accesses: u64,
-    /// Events the scheduler dispatched over the run (the denominator
-    /// behind the bench suite's events/sec metric).
+    /// Events the scheduler dispatched over the run (summed into
+    /// perfbench's `sim.events` metric).
     pub events: u64,
     /// Whether the run was aborted (violation under a kill policy or the
     /// cycle safety valve).
@@ -137,10 +119,6 @@ pub struct RunReport {
     ///
     /// [`SystemConfig::audit`]: crate::SystemConfig::audit
     pub audit: Option<AuditReport>,
-    /// Hot-path profile, when built with the `hotprof` feature. `None`
-    /// otherwise; [`to_json`](Self::to_json) omits the field entirely
-    /// when absent so default-feature golden reports are unaffected.
-    pub hot_profile: Option<HotProfile>,
 }
 
 impl RunReport {
@@ -235,7 +213,7 @@ impl RunReport {
                 )
             }
         };
-        let mut fields: Vec<(&str, String)> = vec![
+        let fields: Vec<(&str, String)> = vec![
             ("safety", format!("\"{}\"", esc(&self.safety))),
             ("workload", format!("\"{}\"", esc(&self.workload))),
             ("gpu_class", format!("\"{}\"", esc(&self.gpu_class))),
@@ -276,20 +254,6 @@ impl RunReport {
             ),
             ("audit", audit),
         ];
-        // Appended only when populated (hotprof builds): goldens are
-        // generated with default features and must stay byte-identical.
-        if let Some(hp) = &self.hot_profile {
-            let (wr, io, dg, ct) = hp.event_counts;
-            fields.push((
-                "hot_profile",
-                format!(
-                    "{{\"event_counts\": [{wr}, {io}, {dg}, {ct}], \
-                     \"store_fast_hits\": {}, \"store_slow_hits\": {}, \
-                     \"page_flushes\": {}, \"flush_scan_lines\": {}}}",
-                    hp.store_fast_hits, hp.store_slow_hits, hp.page_flushes, hp.flush_scan_lines
-                ),
-            ));
-        }
         let body: Vec<String> = fields
             .iter()
             .map(|(k, v)| format!("  \"{k}\": {v}"))
@@ -338,12 +302,6 @@ impl RunReport {
             t.push("audit assertions", audit.assertions);
             t.push("audit findings", audit.findings.len());
         }
-        if let Some(hp) = &self.hot_profile {
-            t.push("store fast-path hits", hp.store_fast_hits);
-            t.push("store slow-path hits", hp.store_slow_hits);
-            t.push("page flushes", hp.page_flushes);
-            t.push("flush scan lines", hp.flush_scan_lines);
-        }
         t
     }
 }
@@ -381,7 +339,6 @@ mod tests {
             probes: (0, 0, 0),
             host: None,
             audit: None,
-            hot_profile: None,
         }
     }
 

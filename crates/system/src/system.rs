@@ -169,10 +169,6 @@ pub(crate) struct Backend {
     /// window; served in arrival order once the commit lands, so their
     /// fills carry post-commit permissions.
     deferred_translates: Vec<(usize, Vpn)>,
-    /// Per-event-kind dispatch counts: wavefront-ready, issue-op,
-    /// downgrade, cpu-tick (frontend counts are merged at report time).
-    #[cfg(feature = "hotprof")]
-    event_counts: [u64; 4],
 }
 
 impl fmt::Debug for System {
@@ -336,8 +332,6 @@ impl Backend {
             fill_horizon: Cycle::ZERO,
             pending_commits: 0,
             deferred_translates: Vec::new(),
-            #[cfg(feature = "hotprof")]
-            event_counts: [0; 4],
             config: config.clone(),
         })
     }
@@ -383,19 +377,6 @@ impl Backend {
         }
         self.now = t;
         self.events_dispatched += 1;
-        #[cfg(feature = "hotprof")]
-        {
-            let kind = match &ev {
-                Event::WavefrontReady { .. } => Some(0),
-                Event::IssueOp { .. } => Some(1),
-                Event::Downgrade => Some(2),
-                Event::CpuTick => Some(3),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                self.event_counts[kind] += 1;
-            }
-        }
         match ev {
             Event::WavefrontReady { cu, wf } => self.step_wavefront(cu, wf),
             Event::IssueOp { cu, wf } => {
@@ -557,7 +538,7 @@ impl Backend {
         let mut completion = at + 1;
         for access in &op.blocks {
             self.block_accesses += 1;
-            let done = self.block_access(at, cu, *access);
+            let done = self.block_access(at, *access);
             completion = completion.max(done);
             if self.aborted {
                 return;
@@ -576,16 +557,18 @@ impl Backend {
         self.schedule(completion, Event::WavefrontReady { cu, wf });
     }
 
-    /// One coalesced block access through the configured memory path.
+    /// One coalesced block access through the centralized memory path.
     /// Returns the wavefront-visible completion time (stores are posted
     /// and complete at issue).
-    fn block_access(&mut self, at: Cycle, cu: usize, access: BlockAccess) -> Cycle {
+    fn block_access(&mut self, at: Cycle, access: BlockAccess) -> Cycle {
         match self.config.safety {
             SafetyModel::FullIommu => self.access_full_iommu(at, access),
             SafetyModel::CapiLike => self.access_capi(at, access),
             SafetyModel::AtsOnlyIommu
             | SafetyModel::BorderControlNoBcc
-            | SafetyModel::BorderControlBcc => self.access_direct(at, cu, access),
+            | SafetyModel::BorderControlBcc => unreachable!(
+                "models that keep an L1 run their CUs on per-CU frontends, never on the backend"
+            ),
         }
     }
 
@@ -683,79 +666,6 @@ impl Backend {
                 }
             }
         }
-    }
-
-    /// Direct physical access (ATS-only and both Border Control
-    /// configurations): accelerator L1 TLB + L1 + shared L2, with Border
-    /// Control checking every request that crosses to memory.
-    fn access_direct(&mut self, at: Cycle, cu: usize, access: BlockAccess) -> Cycle {
-        let vpn = access.va.vpn();
-        // L1 TLB.
-        let (entry, mut t) = {
-            let tlb = self.gpu.cus[cu]
-                .tlb
-                .as_mut()
-                .expect("direct configurations keep an L1 TLB");
-            match tlb.lookup(self.asid, vpn) {
-                Some(e) => (e, at + 1),
-                None => {
-                    let resp = match self.ats.translate(
-                        at + 1,
-                        &mut self.kernel,
-                        &mut self.dram,
-                        self.asid,
-                        vpn,
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => return self.on_fatal_os_error(at, e),
-                    };
-                    self.gpu.cus[cu]
-                        .tlb
-                        .as_mut()
-                        .expect("still present")
-                        .insert(resp.entry);
-                    // Figure 3b: the ATS reports the translation to Border
-                    // Control, which updates the Protection Table (and
-                    // BCC). The maintenance traffic is charged near the
-                    // request's own issue time: it is posted and off the
-                    // translation's critical path.
-                    if let Some(bc) = &mut self.bc {
-                        bc.on_translation(
-                            at + 1,
-                            &resp.entry,
-                            self.kernel.store_mut(),
-                            &mut self.dram,
-                        );
-                        self.audit_translation_granted(&resp.entry);
-                    }
-                    (resp.entry, resp.done)
-                }
-            }
-        };
-
-        let pa = phys_block_from_entry(&entry, access.va);
-        let kind = if access.write {
-            Access::Write
-        } else {
-            Access::Read
-        };
-
-        // Private write-through L1.
-        let l1_result = self.gpu.cus[cu]
-            .l1
-            .as_mut()
-            .expect("direct configurations keep an L1")
-            .access(pa, kind);
-        t += self.gpu.config.l1_latency;
-        if access.write {
-            // Store: posted at L1; traffic continues below.
-            let _ = self.l2_and_memory(t, pa, true);
-            return t;
-        }
-        if l1_result.is_hit() {
-            return t;
-        }
-        self.l2_and_memory(t, pa, false)
     }
 
     /// Shared L2 plus the border crossing to memory.
@@ -993,12 +903,8 @@ impl Backend {
         if plan.invalidate_l1s {
             // GetM: ownership moves to the CPU, so every GPU copy must
             // go — the write-through L1s can hold (clean) copies of the
-            // block the L2 has dirty. Decomposed L1s live one hop away.
-            for cu in &mut self.gpu.cus {
-                if let Some(l1) = &mut cu.l1 {
-                    l1.invalidate_block(pa);
-                }
-            }
+            // block the L2 has dirty. L1s only exist on the per-CU
+            // frontends, one hop away.
             self.broadcast(Event::RecallInv { pa });
         }
         if let Some(l2) = &mut self.gpu.l2 {
@@ -1447,34 +1353,6 @@ impl Backend {
             let s = self.ats.iotlb_stats();
             (s.accesses(), s.misses())
         };
-        #[cfg(not(feature = "hotprof"))]
-        let hot_profile = None;
-        #[cfg(feature = "hotprof")]
-        let hot_profile = {
-            let mut hp = crate::report::HotProfile {
-                event_counts: (
-                    self.event_counts[0] + frontends.iter().map(|f| f.ev_ready).sum::<u64>(),
-                    self.event_counts[1] + frontends.iter().map(|f| f.ev_issue).sum::<u64>(),
-                    self.event_counts[2],
-                    self.event_counts[3],
-                ),
-                ..Default::default()
-            };
-            let store = self.kernel.store().profile();
-            hp.store_fast_hits = store.fast_hits;
-            hp.store_slow_hits = store.slow_hits;
-            for cu in cus() {
-                if let Some(l1) = &cu.l1 {
-                    hp.page_flushes += l1.profile().page_flushes;
-                    hp.flush_scan_lines += l1.profile().flush_scan_lines;
-                }
-            }
-            if let Some(l2) = &self.gpu.l2 {
-                hp.page_flushes += l2.profile().page_flushes;
-                hp.flush_scan_lines += l2.profile().flush_scan_lines;
-            }
-            Some(hp)
-        };
         RunReport {
             safety: self.config.safety.label().to_string(),
             workload: self.config.workload.clone(),
@@ -1518,7 +1396,6 @@ impl Backend {
                 .as_ref()
                 .map(|h| (h.accesses(), h.shared_touches(), h.recalls_from_gpu())),
             audit: self.auditor.as_mut().map(Auditor::take_report),
-            hot_profile,
         }
     }
 }

@@ -288,7 +288,7 @@ pub const BASE_VA: u64 = 0x1000_0000;
 pub enum WorkloadSize {
     /// A few thousand accesses per wavefront-set; unit/integration tests.
     Tiny,
-    /// Tens of thousands of accesses; Criterion benches.
+    /// Tens of thousands of accesses; the figure binaries' default.
     Small,
     /// The size the experiment harness uses for paper-shape numbers.
     Reference,
